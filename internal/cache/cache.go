@@ -13,6 +13,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"hetcc/internal/coherence"
 )
@@ -29,8 +30,8 @@ type Config struct {
 
 // Validate checks the geometry is consistent.
 func (c Config) Validate() error {
-	if c.LineBytes <= 0 || c.LineBytes%4 != 0 {
-		return fmt.Errorf("cache: line size %d not a positive multiple of 4", c.LineBytes)
+	if c.LineBytes < 4 || c.LineBytes&(c.LineBytes-1) != 0 {
+		return fmt.Errorf("cache: line size %d not a power of two of at least 4 bytes", c.LineBytes)
 	}
 	if c.Ways <= 0 {
 		return fmt.Errorf("cache: ways must be positive, got %d", c.Ways)
@@ -97,9 +98,15 @@ type Stats struct {
 type Cache struct {
 	cfg   Config
 	proto *coherence.Protocol
-	sets  [][]Line
-	tick  uint64
-	stats Stats
+	// lines holds every way of every set, set-major: set i is
+	// lines[i*Ways : (i+1)*Ways].  Each Line's Data is a capped window of
+	// one shared word slab.
+	lines []Line
+	// lineShift and setMask turn an address into its set without dividing.
+	lineShift uint
+	setMask   uint32
+	tick      uint64
+	stats     Stats
 }
 
 // New builds an empty cache for the given protocol.  The protocol may not
@@ -113,15 +120,19 @@ func New(cfg Config, proto *coherence.Protocol) (*Cache, error) {
 	if proto == nil {
 		return nil, fmt.Errorf("cache: nil protocol")
 	}
-	sets := make([][]Line, cfg.Sets())
-	for i := range sets {
-		ways := make([]Line, cfg.Ways)
-		for w := range ways {
-			ways[w].Data = make([]uint32, cfg.WordsPerLine())
-		}
-		sets[i] = ways
+	n, wpl := cfg.Sets()*cfg.Ways, cfg.WordsPerLine()
+	lines := make([]Line, n)
+	words := make([]uint32, n*wpl)
+	for i := range lines {
+		lines[i].Data = words[i*wpl : (i+1)*wpl : (i+1)*wpl]
 	}
-	return &Cache{cfg: cfg, proto: proto, sets: sets}, nil
+	return &Cache{
+		cfg:       cfg,
+		proto:     proto,
+		lines:     lines,
+		lineShift: uint(bits.TrailingZeros(uint(cfg.LineBytes))),
+		setMask:   uint32(cfg.Sets() - 1),
+	}, nil
 }
 
 // Config returns the geometry.
@@ -133,14 +144,17 @@ func (c *Cache) Protocol() *coherence.Protocol { return c.proto }
 // Stats returns a copy of the counters.
 func (c *Cache) Stats() Stats { return c.stats }
 
-func (c *Cache) setIndex(addr uint32) int {
-	return int((addr / uint32(c.cfg.LineBytes)) % uint32(c.cfg.Sets()))
+// set returns the ways of addr's set.
+func (c *Cache) set(addr uint32) []Line {
+	ways := c.cfg.Ways
+	i := int(addr>>c.lineShift&c.setMask) * ways
+	return c.lines[i : i+ways : i+ways]
 }
 
 // Lookup returns the line holding addr, or nil.
 func (c *Cache) Lookup(addr uint32) *Line {
 	base := c.cfg.LineAddr(addr)
-	set := c.sets[c.setIndex(addr)]
+	set := c.set(addr)
 	for i := range set {
 		if set[i].State != coherence.Invalid && set[i].Base == base {
 			return &set[i]
@@ -159,7 +173,7 @@ func (c *Cache) Touch(l *Line) {
 // if one exists, else the least recently used.  Lines with a pending flush
 // are never chosen.
 func (c *Cache) Victim(addr uint32) *Line {
-	set := c.sets[c.setIndex(addr)]
+	set := c.set(addr)
 	var victim *Line
 	for i := range set {
 		l := &set[i]
@@ -190,18 +204,16 @@ func (c *Cache) Install(addr uint32, data []uint32, state coherence.State, into 
 
 // WordIndex returns the index of addr's word within its line.
 func (c *Cache) WordIndex(addr uint32) int {
-	return int(addr%uint32(c.cfg.LineBytes)) / 4
+	return int(addr&uint32(c.cfg.LineBytes-1)) / 4
 }
 
 // ResidentLines returns the base addresses of all valid lines (for the TAG
 // CAM mirror property tests and the snoop logic).
 func (c *Cache) ResidentLines() []uint32 {
 	var out []uint32
-	for _, set := range c.sets {
-		for i := range set {
-			if set[i].State != coherence.Invalid {
-				out = append(out, set[i].Base)
-			}
+	for i := range c.lines {
+		if c.lines[i].State != coherence.Invalid {
+			out = append(out, c.lines[i].Base)
 		}
 	}
 	return out

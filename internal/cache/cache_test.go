@@ -16,6 +16,7 @@ func TestConfigValidate(t *testing.T) {
 		{SizeBytes: 8 * 1024, Ways: 4, LineBytes: 32},
 		{SizeBytes: 16 * 1024, Ways: 64, LineBytes: 32},
 		{SizeBytes: 256, Ways: 1, LineBytes: 32},
+		{SizeBytes: 4096, Ways: 2, LineBytes: 64},
 	}
 	for _, c := range good {
 		if err := c.Validate(); err != nil {
@@ -30,10 +31,57 @@ func TestConfigValidate(t *testing.T) {
 		{SizeBytes: 96 * 32, Ways: 1, LineBytes: 32}, // 96 sets: not a power of two
 		{SizeBytes: -1024, Ways: 2, LineBytes: 32},   // negative
 		{SizeBytes: 1024, Ways: 0, LineBytes: 32},    // zero ways
+		{SizeBytes: 12288, Ways: 4, LineBytes: 48},   // 64 sets, but line not a power of two
 	}
 	for _, c := range bad {
 		if err := c.Validate(); err == nil {
 			t.Errorf("%+v accepted", c)
+		}
+	}
+}
+
+// TestLineDataSlabIsolated: every line's Data is a window of one shared
+// word slab, capped so that growing one line reallocates instead of
+// writing into its neighbour.
+func TestLineDataSlabIsolated(t *testing.T) {
+	c, err := New(cfgTiny(), coherence.New(coherence.MESI))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range c.lines {
+		l := &c.lines[i]
+		if len(l.Data) != 8 || cap(l.Data) != 8 {
+			t.Fatalf("line %d: len %d cap %d, want 8/8", i, len(l.Data), cap(l.Data))
+		}
+		for w := range l.Data {
+			l.Data[w] = uint32(i)<<8 | uint32(w)
+		}
+	}
+	grown := append(c.lines[0].Data, 0xdead)
+	grown[0] = 0xbeef
+	for i := range c.lines {
+		for w, v := range c.lines[i].Data {
+			if want := uint32(i)<<8 | uint32(w); v != want {
+				t.Fatalf("line %d word %d = %#x after append to line 0, want %#x", i, w, v, want)
+			}
+		}
+	}
+}
+
+// TestSetIndexMatchesDivision: the shift-and-mask set index picks the set
+// the (addr / LineBytes) % Sets formula names.
+func TestSetIndexMatchesDivision(t *testing.T) {
+	for _, cfg := range []Config{cfg32k(), cfgTiny(), {SizeBytes: 4096, Ways: 2, LineBytes: 64}} {
+		c, err := New(cfg, coherence.New(coherence.MESI))
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := func(addr uint32) bool {
+			want := int(addr/uint32(cfg.LineBytes)%uint32(cfg.Sets())) * cfg.Ways
+			return &c.set(addr)[0] == &c.lines[want]
+		}
+		if err := quick.Check(f, nil); err != nil {
+			t.Fatalf("%+v: %v", cfg, err)
 		}
 	}
 }

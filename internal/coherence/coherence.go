@@ -140,12 +140,50 @@ type writeHitEntry struct {
 
 // Protocol is an immutable description of one coherence protocol's state
 // machine.  Obtain instances with New.
+//
+// The writeHit and snoop map literals are the single source of each
+// protocol's transitions.  dense answers OnWriteHit and OnSnoop from arrays
+// built once from those maps, so the per-access lookups never hash.
 type Protocol struct {
 	kind     Kind
 	states   []State
 	fillRead func(shared bool) State
 	writeHit map[State]writeHitEntry
 	snoop    map[State]map[BusOp]SnoopOutcome
+	dense    denseTables
+}
+
+const (
+	numStates = int(Owned) + 1
+	numBusOps = int(BusUpd) + 1
+)
+
+// denseTables is the [state][op] array form of a protocol's maps.  The ok
+// flags record which entries the maps define; snoopRow records which states
+// have a snoop row at all, so a missing row and a missing op keep their
+// distinct errors.
+type denseTables struct {
+	writeHit   [numStates]writeHitEntry
+	writeHitOK [numStates]bool
+	snoop      [numStates][numBusOps]SnoopOutcome
+	snoopOK    [numStates][numBusOps]bool
+	snoopRow   [numStates]bool
+}
+
+// withDense fills p.dense from p's map literals and returns p.
+func withDense(p *Protocol) *Protocol {
+	for s, e := range p.writeHit {
+		p.dense.writeHit[s] = e
+		p.dense.writeHitOK[s] = true
+	}
+	for s, row := range p.snoop {
+		p.dense.snoopRow[s] = true
+		for op, out := range row {
+			p.dense.snoop[s][op] = out
+			p.dense.snoopOK[s][op] = true
+		}
+	}
+	return p
 }
 
 // New returns the state machine for protocol k.  It panics on None or an
@@ -218,10 +256,10 @@ func (p *Protocol) OnReadHit(s State) (State, error) {
 // OnWriteHit returns the state after a processor write hit and the bus
 // operation (if any) required to gain ownership.
 func (p *Protocol) OnWriteHit(s State) (next State, op BusOp, needsBus bool, err error) {
-	e, ok := p.writeHit[s]
-	if !ok {
+	if int(s) >= numStates || !p.dense.writeHitOK[s] {
 		return s, 0, false, fmt.Errorf("coherence: %v write hit in state %v", p.kind, s)
 	}
+	e := &p.dense.writeHit[s]
 	return e.next, e.op, e.bus, nil
 }
 
@@ -231,18 +269,16 @@ func (p *Protocol) OnSnoop(s State, op BusOp) (SnoopOutcome, error) {
 	if s == Invalid {
 		return SnoopOutcome{Next: Invalid}, nil
 	}
-	row, ok := p.snoop[s]
-	if !ok {
+	if int(s) >= numStates || !p.dense.snoopRow[s] {
 		return SnoopOutcome{}, fmt.Errorf("coherence: %v snoop in foreign state %v", p.kind, s)
 	}
-	out, ok := row[op]
-	if !ok {
+	if int(op) >= numBusOps || !p.dense.snoopOK[s][op] {
 		return SnoopOutcome{}, fmt.Errorf("coherence: %v has no snoop transition for %v in %v", p.kind, op, s)
 	}
-	return out, nil
+	return p.dense.snoop[s][op], nil
 }
 
-var meiProtocol = &Protocol{
+var meiProtocol = withDense(&Protocol{
 	kind:   MEI,
 	states: []State{Invalid, Exclusive, Modified},
 	// MEI has no Shared state: a read miss always allocates Exclusive and
@@ -265,9 +301,9 @@ var meiProtocol = &Protocol{
 			BusUpgr: {Next: Invalid, Flush: true},
 		},
 	},
-}
+})
 
-var msiProtocol = &Protocol{
+var msiProtocol = withDense(&Protocol{
 	kind:   MSI,
 	states: []State{Invalid, Shared, Modified},
 	// MSI has no Exclusive state: a read miss always allocates Shared.
@@ -288,9 +324,9 @@ var msiProtocol = &Protocol{
 			BusUpgr: {Next: Invalid, Flush: true},
 		},
 	},
-}
+})
 
-var mesiProtocol = &Protocol{
+var mesiProtocol = withDense(&Protocol{
 	kind:   MESI,
 	states: []State{Invalid, Shared, Exclusive, Modified},
 	fillRead: func(shared bool) State {
@@ -321,9 +357,9 @@ var mesiProtocol = &Protocol{
 			BusUpgr: {Next: Invalid, Flush: true},
 		},
 	},
-}
+})
 
-var moesiProtocol = &Protocol{
+var moesiProtocol = withDense(&Protocol{
 	kind:   MOESI,
 	states: []State{Invalid, Shared, Exclusive, Modified, Owned},
 	fillRead: func(shared bool) State {
@@ -362,4 +398,4 @@ var moesiProtocol = &Protocol{
 			BusUpgr: {Next: Invalid},
 		},
 	},
-}
+})

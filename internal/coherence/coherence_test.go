@@ -1,6 +1,7 @@
 package coherence
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -354,6 +355,46 @@ func TestDotIsWellFormed(t *testing.T) {
 		}
 		if !strings.Contains(d, "->") {
 			t.Fatalf("%v dot has no edges", k)
+		}
+	}
+}
+
+// TestDenseTablesMatchMaps: for every protocol, state and bus op, including
+// out-of-range ones, the dense lookups give the result and the error the
+// map literals define.
+func TestDenseTablesMatchMaps(t *testing.T) {
+	for _, k := range []Kind{MEI, MSI, MESI, MOESI, Dragon} {
+		p := New(k)
+		for s := State(0); int(s) <= numStates+1; s++ {
+			e, ok := p.writeHit[s]
+			next, op, bus, err := p.OnWriteHit(s)
+			if (err == nil) != ok {
+				t.Errorf("%v write hit %v: err %v, map defines it: %v", k, s, err, ok)
+			} else if ok && (next != e.next || op != e.op || bus != e.bus) {
+				t.Errorf("%v write hit %v: got (%v,%v,%v), map says %+v", k, s, next, op, bus, e)
+			} else if !ok && err.Error() != fmt.Sprintf("coherence: %v write hit in state %v", k, s) {
+				t.Errorf("%v write hit %v: error %q", k, s, err)
+			}
+			for o := BusOp(0); int(o) <= numBusOps+1; o++ {
+				got, err := p.OnSnoop(s, o)
+				row, rowOK := p.snoop[s]
+				want, opOK := row[o]
+				var wantErr string
+				switch {
+				case s == Invalid:
+					want, opOK = SnoopOutcome{Next: Invalid}, true
+				case !rowOK:
+					wantErr = fmt.Sprintf("coherence: %v snoop in foreign state %v", k, s)
+				case !opOK:
+					wantErr = fmt.Sprintf("coherence: %v has no snoop transition for %v in %v", k, o, s)
+				}
+				switch {
+				case wantErr != "" && (err == nil || err.Error() != wantErr):
+					t.Errorf("%v snoop %v in %v: err %v, want %q", k, o, s, err, wantErr)
+				case wantErr == "" && (err != nil || got != want):
+					t.Errorf("%v snoop %v in %v: got %+v, %v; map says %+v", k, o, s, got, err, want)
+				}
+			}
 		}
 	}
 }

@@ -48,7 +48,7 @@ func (p *Protocol) AfterUpdate(shared bool) State {
 // UpdateBased reports whether the protocol broadcasts updates.
 func (p *Protocol) UpdateBased() bool { return p.kind.UpdateBased() }
 
-var dragonProtocol = &Protocol{
+var dragonProtocol = withDense(&Protocol{
 	kind:   Dragon,
 	states: []State{Invalid, Shared, Exclusive, Modified, Owned},
 	fillRead: func(shared bool) State {
@@ -96,4 +96,4 @@ var dragonProtocol = &Protocol{
 			BusUpgr: {Next: Invalid, Flush: true},
 		},
 	},
-}
+})

@@ -140,6 +140,10 @@ type Builder struct {
 // NewBuilder returns an empty program builder.
 func NewBuilder() *Builder { return &Builder{} }
 
+// NewBuilderSize returns an empty builder whose program has room for n ops,
+// so a generator that knows its op count allocates the program once.
+func NewBuilderSize(n int) *Builder { return &Builder{ops: make(Program, 0, n)} }
+
 // Read appends a load of addr.
 func (b *Builder) Read(addr uint32) *Builder {
 	b.ops = append(b.ops, Op{Kind: Read, Addr: addr})

@@ -74,7 +74,9 @@ func (t Timing) BurstLatency(words int) int {
 // Memory is a sparse word-addressed RAM.  Addresses are byte addresses and
 // must be word aligned.
 type Memory struct {
-	words map[uint32]uint32
+	// words holds only nonzero words: a store of 0 clears the word, so
+	// Footprint counts what a real RAM would hold beyond its zeroed state.
+	words Words
 
 	// Reads and Writes count word-granularity accesses for the statistics
 	// report.
@@ -83,9 +85,7 @@ type Memory struct {
 }
 
 // New returns an empty (all-zero) memory.
-func New() *Memory {
-	return &Memory{words: make(map[uint32]uint32)}
-}
+func New() *Memory { return &Memory{} }
 
 func checkAligned(addr uint32) {
 	if addr%WordBytes != 0 {
@@ -97,18 +97,22 @@ func checkAligned(addr uint32) {
 func (m *Memory) ReadWord(addr uint32) uint32 {
 	checkAligned(addr)
 	m.Reads++
-	return m.words[addr]
+	return m.words.Load(addr)
 }
 
 // WriteWord stores v at byte address addr.
 func (m *Memory) WriteWord(addr uint32, v uint32) {
 	checkAligned(addr)
 	m.Writes++
+	m.set(addr, v)
+}
+
+func (m *Memory) set(addr, v uint32) {
 	if v == 0 {
-		delete(m.words, addr)
+		m.words.Clear(addr)
 		return
 	}
-	m.words[addr] = v
+	m.words.Store(addr, v)
 }
 
 // ReadLine copies the words words starting at the line-aligned address base
@@ -130,18 +134,14 @@ func (m *Memory) WriteLine(base uint32, src []uint32) {
 // comparison in tests).
 func (m *Memory) Peek(addr uint32) uint32 {
 	checkAligned(addr)
-	return m.words[addr]
+	return m.words.Load(addr)
 }
 
 // Poke writes without counting statistics.
 func (m *Memory) Poke(addr uint32, v uint32) {
 	checkAligned(addr)
-	if v == 0 {
-		delete(m.words, addr)
-		return
-	}
-	m.words[addr] = v
+	m.set(addr, v)
 }
 
 // Footprint returns the number of nonzero words resident (for tests).
-func (m *Memory) Footprint() int { return len(m.words) }
+func (m *Memory) Footprint() int { return m.words.Len() }

@@ -967,3 +967,24 @@ func TestSoakLongMixedRun(t *testing.T) {
 		}
 	}
 }
+
+// TestGoldenExpectedListsZeroStores: a shared word whose last store was 0
+// stays in GoldenExpected with value 0, although memory holds no such word.
+func TestGoldenExpectedListsZeroStores(t *testing.T) {
+	p := buildPF2(t, Proposed)
+	a, b := SharedBase, SharedBase+0x1000
+	p.LoadPrograms([]isa.Program{
+		isa.NewBuilder().Lock(0).Write(a, 7).Write(a, 0).Write(b, 3).Unlock(0).Halt(),
+		isa.NewBuilder().Halt(),
+	})
+	if res := p.Run(1_000_000); res.Err != nil || !res.Coherent() {
+		t.Fatalf("run: %v, violations %v", res.Err, res.Violations)
+	}
+	got := p.GoldenExpected()
+	if len(got) != 2 || got[b] != 3 {
+		t.Fatalf("GoldenExpected = %v, want {%#x: 0, %#x: 3}", got, a, b)
+	}
+	if v, ok := got[a]; !ok || v != 0 {
+		t.Fatalf("zero-stored word %#x: %d, listed %v", a, v, ok)
+	}
+}

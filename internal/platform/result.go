@@ -9,6 +9,7 @@ import (
 	"hetcc/internal/bus"
 	"hetcc/internal/cache"
 	"hetcc/internal/cpu"
+	"hetcc/internal/memory"
 	"hetcc/internal/metrics"
 	"hetcc/internal/profile"
 	"hetcc/internal/sharing"
@@ -38,7 +39,9 @@ func (v Violation) String() string {
 // the lock discipline itself: a shared-region access by a core holding no
 // lock is a data race under the paper's programming model.
 type checker struct {
-	expected   map[uint32]uint32
+	// expected is the last value stored to each shared word.  A store of 0
+	// still marks the word written, so GoldenExpected lists it.
+	expected   memory.Words
 	violations []Violation
 	races      []Race
 	limit      int
@@ -64,7 +67,7 @@ func (r Race) String() string {
 }
 
 func newChecker() *checker {
-	return &checker{expected: make(map[uint32]uint32), limit: 64}
+	return &checker{limit: 64}
 }
 
 func (k *checker) noteRace(core int, addr uint32, write bool, now uint64) {
@@ -76,7 +79,7 @@ func (k *checker) noteRace(core int, addr uint32, write bool, now uint64) {
 func (k *checker) onStore(core int, addr, val uint32, now uint64) {
 	if InShared(addr) {
 		k.noteRace(core, addr, true, now)
-		k.expected[addr] = val
+		k.expected.Store(addr, val)
 	}
 }
 
@@ -85,7 +88,7 @@ func (k *checker) onLoad(core int, addr, val uint32, now uint64) {
 		return
 	}
 	k.noteRace(core, addr, false, now)
-	if want := k.expected[addr]; want != val && len(k.violations) < k.limit {
+	if want := k.expected.Load(addr); want != val && len(k.violations) < k.limit {
 		k.violations = append(k.violations, Violation{Core: core, Addr: addr, Got: val, Want: want, Cycle: now})
 	}
 }
@@ -259,10 +262,8 @@ func (p *Platform) GoldenExpected() map[uint32]uint32 {
 	if p.checker == nil {
 		return nil
 	}
-	out := make(map[uint32]uint32, len(p.checker.expected))
-	for k, v := range p.checker.expected {
-		out[k] = v
-	}
+	out := make(map[uint32]uint32, p.checker.expected.Len())
+	p.checker.expected.Range(func(addr, v uint32) { out[addr] = v })
 	return out
 }
 
