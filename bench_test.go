@@ -12,6 +12,7 @@ import (
 
 	"hetcc/internal/coherence"
 	"hetcc/internal/core"
+	"hetcc/internal/explore"
 	"hetcc/internal/memory"
 	"hetcc/internal/platform"
 	"hetcc/internal/workload"
@@ -299,15 +300,15 @@ func benchAuditRun(b *testing.B, audit bool) {
 	}
 }
 
-// BenchmarkModelCheck measures the core verifier on the heaviest mix.
+// BenchmarkModelCheck measures the wrapped exploration of the heaviest
+// 3-master mix.
 func BenchmarkModelCheck(b *testing.B) {
-	protos := []coherence.Kind{coherence.MOESI, coherence.MESI, coherence.MSI}
-	integ, err := core.Reduce(protos)
-	if err != nil {
-		b.Fatal(err)
+	cfg := explore.Config{
+		Protocols: []coherence.Kind{coherence.MOESI, coherence.MESI, coherence.MSI},
+		Mode:      explore.ModeWrapped,
 	}
 	for i := 0; i < b.N; i++ {
-		res, err := core.Verify(protos, integ.Policies, integ.Effective)
+		res, err := explore.Explore(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}

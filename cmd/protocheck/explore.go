@@ -172,7 +172,7 @@ func exploreMatrix(graphPath string, budget time.Duration, maxStates int) error 
 	return nil
 }
 
-// exploreOne explores a single combination (2..3 masters) in all three
+// exploreOne explores a single combination (2..4 masters) in all three
 // hardware modes, with per-master reachable/eliminated sets and full
 // counterexample replays.
 func exploreOne(kinds []coherence.Kind, graphPath string, maxStates int) error {

@@ -1,13 +1,14 @@
 // Command protocheck is the protocol-integration checker: for every pair
 // (or a chosen combination) of coherence protocols it prints the paper's
 // reduction — effective protocol, per-processor wrapper policy — and
-// model-checks the result, proving which states the wrappers eliminate and
-// demonstrating the staleness defect the un-integrated system would have.
+// model-checks the result with the exhaustive explorer of internal/explore,
+// proving which states the wrappers eliminate and demonstrating the
+// staleness defect the un-integrated system would have.
 //
 // Usage:
 //
 //	protocheck                     # full pairwise matrix
-//	protocheck -protocols MEI,MESI # one combination (2..4 protocols)
+//	protocheck -protocols MEI,MESI # one combination (2..4 masters, NONE included)
 //	protocheck -replay             # also replay Tables 2/3 on the full simulator
 //	protocheck -audit              # machine-verify the reduction table on live runs
 //	protocheck -audit -jobs 8      # ... fanned across 8 simulation workers
@@ -47,7 +48,7 @@ var jobs = flag.Int("jobs", runtime.NumCPU(), "parallel simulation workers for t
 
 func main() {
 	var (
-		protoFlag  = flag.String("protocols", "", "comma-separated protocol list (MEI, MSI, MESI, MOESI, Dragon; plus NONE with -explore); empty = full pairwise matrix")
+		protoFlag  = flag.String("protocols", "", "comma-separated protocol list of 2..4 masters (MEI, MSI, MESI, MOESI, Dragon, NONE); empty = full pairwise matrix")
 		replay     = flag.Bool("replay", false, "replay the paper's Table 2/3 sequences on the cycle-level simulator")
 		auditRun   = flag.Bool("audit", false, "run the protocol-pair matrix and the paper's platforms on the cycle-level simulator with the invariant auditor, checking observed states against the reduction table")
 		dotFlag    = flag.String("dot", "", "print the named protocol's state machine as a Graphviz digraph and exit")
@@ -69,9 +70,6 @@ func main() {
 		if *protoFlag != "" {
 			kinds, err := parseProtocols(*protoFlag)
 			fatalIf(err)
-			if len(kinds) > explore.MaxMasters {
-				fatalIf(fmt.Errorf("-explore supports at most %d masters, got %d", explore.MaxMasters, len(kinds)))
-			}
 			fatalIf(exploreOne(kinds, *graphFlag, *maxStates))
 		} else {
 			fatalIf(exploreMatrix(*graphFlag, *budget, *maxStates))
@@ -82,7 +80,7 @@ func main() {
 	if *protoFlag != "" {
 		kinds, err := parseProtocols(*protoFlag)
 		fatalIf(err)
-		fatalIf(check(kinds, true))
+		fatalIf(check(kinds))
 	} else {
 		all := []coherence.Kind{coherence.MEI, coherence.MSI, coherence.MESI, coherence.MOESI}
 		t := stats.NewTable("Protocol reduction matrix (paper Section 2)",
@@ -95,13 +93,13 @@ func main() {
 				kinds := []coherence.Kind{a, b}
 				integ, err := core.Reduce(kinds)
 				fatalIf(err)
-				res, err := core.Verify(kinds, integ.Policies, integ.Effective)
+				res, err := explore.Explore(explore.Config{Protocols: kinds, Mode: explore.ModeWrapped})
 				fatalIf(err)
 				verdict := "SOUND"
 				if len(res.Violations) > 0 {
 					verdict = "VIOLATIONS"
 				}
-				t.AddRow(a, b, integ.Effective, integ.Policies[0], integ.Policies[1], verdict, res.Explored)
+				t.AddRow(a, b, integ.Effective, integ.Policies[0], integ.Policies[1], verdict, res.States)
 			}
 		}
 		t.Render(os.Stdout)
@@ -115,24 +113,19 @@ func main() {
 				if j < i {
 					continue
 				}
-				kinds := []coherence.Kind{a, b}
-				pols := make([]core.WrapperPolicy, 2)
-				for k := range pols {
-					if a == b {
-						// Homogeneous systems have compatible signals:
-						// nothing is broken without wrappers.
-						pols[k] = core.WrapperPolicy{AllowCacheToCache: a == coherence.MOESI}
-					} else {
-						// Heterogeneous shared-signal conventions are not
-						// wired together.
-						pols[k] = core.WrapperPolicy{Shared: core.SharedForceDeassert}
-					}
+				// Homogeneous systems have compatible signals, so their
+				// wrappers pass everything through (MOESI keeps
+				// cache-to-cache supply); heterogeneous shared-signal
+				// conventions are not wired together.
+				mode := explore.ModeUnwired
+				if a == b {
+					mode = explore.ModeWrapped
 				}
-				res, err := core.Verify(kinds, pols, worstEffective(kinds))
+				res, err := explore.Explore(explore.Config{Protocols: []coherence.Kind{a, b}, Mode: mode})
 				fatalIf(err)
 				defect := "none"
 				for _, v := range res.Violations {
-					if strings.HasPrefix(v.Kind, "stale") {
+					if strings.HasPrefix(v.Check, "stale") {
 						defect = v.String()
 						break
 					}
@@ -295,23 +288,6 @@ func withinAllowed(observed []string, allowed []coherence.State) bool {
 	return true
 }
 
-// worstEffective labels the un-integrated system by its largest common
-// sub-protocol so AllowedStates does not flag legitimate native states: the
-// defect we want to surface is staleness, not state usage.
-func worstEffective(kinds []coherence.Kind) coherence.Kind {
-	eff := kinds[0]
-	for _, k := range kinds[1:] {
-		if k != eff {
-			// Heterogeneous: AllowedStates(native, native) keeps the
-			// native sets; use each processor's own protocol by returning
-			// the first — Verify only uses effective for AllowedStates,
-			// which falls back to native when equal.
-			return eff
-		}
-	}
-	return eff
-}
-
 func parseProtocols(s string) ([]coherence.Kind, error) {
 	var out []coherence.Kind
 	for _, part := range strings.Split(s, ",") {
@@ -327,20 +303,20 @@ func parseProtocols(s string) ([]coherence.Kind, error) {
 		case "DRAGON":
 			out = append(out, coherence.Dragon)
 		case "NONE":
-			// A master without coherence hardware — meaningful to -explore
-			// (and to core.Reduce, which plans snoop logic for it).
+			// A master without coherence hardware: core.Reduce plans
+			// TAG-CAM snoop logic for it.
 			out = append(out, coherence.None)
 		default:
 			return nil, fmt.Errorf("unknown protocol %q", part)
 		}
 	}
-	if len(out) < 2 || len(out) > 4 {
-		return nil, fmt.Errorf("need 2..4 protocols, got %d", len(out))
+	if len(out) < 2 || len(out) > explore.MaxMasters {
+		return nil, fmt.Errorf("need 2..%d protocols, got %d", explore.MaxMasters, len(out))
 	}
 	return out, nil
 }
 
-func check(kinds []coherence.Kind, verbose bool) error {
+func check(kinds []coherence.Kind) error {
 	integ, err := core.Reduce(kinds)
 	if err != nil {
 		return err
@@ -351,18 +327,18 @@ func check(kinds []coherence.Kind, verbose bool) error {
 	for i, p := range integ.Policies {
 		fmt.Printf("  P%d (%v): wrapper %v\n", i, kinds[i], p)
 	}
-	res, err := core.Verify(kinds, integ.Policies, integ.Effective)
+	res, err := explore.Explore(explore.Config{Protocols: kinds, Mode: explore.ModeWrapped})
 	if err != nil {
 		return err
 	}
-	fmt.Printf("model check: %d abstract states explored\n", res.Explored)
+	fmt.Printf("model check: %d abstract states explored\n", res.States)
 	for i, states := range res.Reachable {
 		var names []string
 		for _, s := range states {
 			names = append(names, s.String())
 		}
 		var eliminated []string
-		for _, s := range coherence.New(kinds[i]).States() {
+		for _, s := range coherence.New(protoOrMEI(kinds[i])).States() {
 			if res.Eliminated(i, s) {
 				eliminated = append(eliminated, s.String())
 			}

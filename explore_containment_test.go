@@ -13,8 +13,8 @@ import (
 // TestExplorerContainsAuditedStates cross-validates the abstract state-space
 // explorer against the live simulator: every per-core coherence state the
 // invariant auditor observes across the paper's 27-combination matrix (three
-// platforms × three scenarios × three solutions), under both engine
-// schedulers, must be in the explorer's reachable set for the matching
+// platforms × three scenarios × three solutions) plus the same nine runs on a
+// 4-core heterogeneous platform, under both engine schedulers, must be in the explorer's reachable set for the matching
 // hardware mode.  If the abstraction ever under-approximates the real
 // machine, this test names the state the model cannot reach.
 func TestExplorerContainsAuditedStates(t *testing.T) {
@@ -29,6 +29,13 @@ func TestExplorerContainsAuditedStates(t *testing.T) {
 		{"PF1 (ARM+ARM)", platform.ARMPair()},
 		{"PF2 (PPC+ARM)", platform.PPCARm()},
 		{"PF3 (PPC+i486)", platform.PPCI486()},
+		// The 4-core heterogeneous mix of BenchmarkScalingProcessors.
+		{"PF3 (4 cores)", []platform.ProcessorSpec{
+			platform.Generic("P0-MEI", coherence.MEI, 1),
+			platform.Generic("P1-MESI", coherence.MESI, 1),
+			platform.Generic("P2-MOESI", coherence.MOESI, 1),
+			platform.Generic("P3-MSI", coherence.MSI, 1),
+		}},
 	}
 
 	// Hardware-mode map: the proposed solution installs wrappers and snoop

@@ -128,11 +128,15 @@ func TestClassifyAgreesWithReduce(t *testing.T) {
 	}
 }
 
-// TestClassifyEmpty: an empty vector is an error, not a class.
+// TestClassifyEmpty: an empty vector is an error, not a class, and Reduce
+// passes the error on.
 func TestClassifyEmpty(t *testing.T) {
 	for _, protos := range [][]coherence.Kind{nil, {}} {
 		if _, err := Classify(protos); err == nil {
 			t.Errorf("Classify(%v) did not error", protos)
+		}
+		if _, err := Reduce(protos); err == nil {
+			t.Errorf("Reduce(%v) did not error", protos)
 		}
 	}
 }

@@ -1,9 +1,9 @@
 // Package core implements the paper's central contribution: the rules for
 // integrating heterogeneous invalidation-based coherence protocols on one
 // shared bus (Section 2 of the paper), expressed as per-processor wrapper
-// policies, plus the platform classification of the paper's Table 1 and an
-// exhaustive reachability verifier that proves the reduction eliminates the
-// intended states.
+// policies, plus the platform classification of the paper's Table 1.  The
+// exhaustive reachability explorer of internal/explore proves that the
+// reduction eliminates the intended states.
 //
 // Protocol reduction summary (paper Sections 2.1–2.3):
 //
@@ -76,6 +76,28 @@ type WrapperPolicy struct {
 // String summarises the policy.
 func (p WrapperPolicy) String() string {
 	return fmt.Sprintf("{rd→wr:%v shared:%v c2c:%v}", p.ConvertReadToWrite, p.Shared, p.AllowCacheToCache)
+}
+
+// SnoopOp applies the wrapper's read-to-write conversion to the bus
+// operation op as observed by this processor's snoop port.
+func (p WrapperPolicy) SnoopOp(op coherence.BusOp) coherence.BusOp {
+	if p.ConvertReadToWrite && op == coherence.BusRd {
+		return coherence.BusRdX
+	}
+	return op
+}
+
+// ApplyShared applies the wrapper's shared-signal override to the value
+// sampled by this processor's master port.
+func (p WrapperPolicy) ApplyShared(shared bool) bool {
+	switch p.Shared {
+	case SharedForceAssert:
+		return true
+	case SharedForceDeassert:
+		return false
+	default:
+		return shared
+	}
 }
 
 // PlatformClass is the paper's Table 1 classification.
@@ -299,7 +321,7 @@ func Reduce(protocols []coherence.Kind) (Integration, error) {
 }
 
 // AllowedStates returns the per-processor coherence states permitted after
-// reduction — the set the verifier checks reachability against.  A
+// reduction — the set the explorer checks reachability against.  A
 // processor never enters a state outside both its native protocol and the
 // effective protocol, except that the paper's MSI-in-MEI-mix case keeps the
 // *name* S for lines that behave as E ("despite the name, the S state is

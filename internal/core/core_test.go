@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"hetcc/internal/coherence"
@@ -226,6 +228,63 @@ func TestAllowedStates(t *testing.T) {
 	for _, s := range AllowedStates(coherence.MOESI, coherence.MSI) {
 		if s == coherence.Exclusive || s == coherence.Owned {
 			t.Errorf("MOESI in MSI mix still allows %v", s)
+		}
+	}
+}
+
+// TestAllowedStatesUnreduced: a coherence-less cache behaves as a private
+// MEI cache, and a protocol left at its own effective protocol keeps every
+// native state.
+func TestAllowedStatesUnreduced(t *testing.T) {
+	cases := []struct {
+		native, effective coherence.Kind
+		want              []coherence.State
+	}{
+		{coherence.None, coherence.MESI, []coherence.State{coherence.Invalid, coherence.Exclusive, coherence.Modified}},
+		{coherence.MOESI, coherence.MOESI, coherence.New(coherence.MOESI).States()},
+		{coherence.Dragon, coherence.Dragon, coherence.New(coherence.Dragon).States()},
+	}
+	for _, c := range cases {
+		got := AllowedStates(c.native, c.effective)
+		if !reflect.DeepEqual(got, c.want) {
+			t.Errorf("AllowedStates(%v, %v) = %v, want %v", c.native, c.effective, got, c.want)
+		}
+	}
+}
+
+// TestReduceRejectsDragonMixes: the paper's wrapper method covers
+// invalidation-based protocols only.
+func TestReduceRejectsDragonMixes(t *testing.T) {
+	bad := [][]coherence.Kind{
+		{coherence.Dragon, coherence.MESI},
+		{coherence.MEI, coherence.Dragon},
+		{coherence.Dragon, coherence.MOESI},
+		{coherence.Dragon, coherence.None}, // PF2 with Dragon: also out of scope
+	}
+	for _, protos := range bad {
+		if _, err := Reduce(protos); err == nil {
+			t.Errorf("Reduce(%v) accepted an update-based mix", protos)
+		}
+	}
+}
+
+// TestStrings pins the names protocheck prints in its policy columns.
+func TestStrings(t *testing.T) {
+	cases := []struct {
+		got  fmt.Stringer
+		want string
+	}{
+		{SharedPassthrough, "passthrough"},
+		{SharedForceAssert, "force-assert"},
+		{SharedForceDeassert, "force-deassert"},
+		{SharedOverride(9), "SharedOverride(9)"},
+		{WrapperPolicy{}, "{rd→wr:false shared:passthrough c2c:false}"},
+		{WrapperPolicy{ConvertReadToWrite: true, Shared: SharedForceDeassert, AllowCacheToCache: true}, "{rd→wr:true shared:force-deassert c2c:true}"},
+		{PlatformClass(0), "PlatformClass(0)"},
+	}
+	for _, c := range cases {
+		if s := c.got.String(); s != c.want {
+			t.Errorf("String() = %q, want %q", s, c.want)
 		}
 	}
 }

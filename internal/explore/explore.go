@@ -88,14 +88,15 @@ func (m Mode) String() string {
 	}
 }
 
-// MaxMasters bounds the model size (the canonical state key packs 6 bits per
-// master plus one memory bit).
-const MaxMasters = 3
+// MaxMasters bounds the model size: the canonical uint32 state key packs
+// 6 bits per master plus one memory bit, so four masters use 25 of its 32
+// bits.
+const MaxMasters = 4
 
 // DefaultMaxStates bounds the visited set when Config.MaxStates is zero.
-// The single-line product FSM of three 5-state protocols with freshness and
-// CAM bits fits in 2^19 states; the default leaves a wide margin while still
-// guaranteeing termination accounting if the model grows.
+// The largest 4-master product FSM reaches 1189 states; the default leaves
+// a wide margin while still guaranteeing termination accounting if the
+// model grows.
 const DefaultMaxStates = 1 << 16
 
 // Config configures one exploration.

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"hetcc/internal/coherence"
-	"hetcc/internal/core"
 	"hetcc/internal/snooplogic"
 )
 
@@ -66,60 +65,53 @@ func TestWrappedPairsProved(t *testing.T) {
 // TestWrappedTriplesProved extends the proof to 3-master samples covering
 // every platform class and the widest protocol span.
 func TestWrappedTriplesProved(t *testing.T) {
-	for _, kinds := range [][]coherence.Kind{
-		{coherence.None, coherence.None, coherence.None},
-		{coherence.MEI, coherence.MESI, coherence.None},
-		{coherence.MEI, coherence.MSI, coherence.MOESI},
-		{coherence.MSI, coherence.MESI, coherence.MOESI},
-		{coherence.MESI, coherence.MESI, coherence.MOESI},
-		{coherence.MOESI, coherence.MOESI, coherence.MOESI},
-		{coherence.Dragon, coherence.Dragon, coherence.Dragon},
-		{coherence.MOESI, coherence.None, coherence.None},
+	for _, c := range []struct {
+		kinds     []coherence.Kind
+		effective coherence.Kind
+	}{
+		{[]coherence.Kind{coherence.None, coherence.None, coherence.None}, coherence.MEI},
+		{[]coherence.Kind{coherence.MEI, coherence.MESI, coherence.None}, coherence.MEI},
+		{[]coherence.Kind{coherence.MEI, coherence.MESI, coherence.MOESI}, coherence.MEI},
+		{[]coherence.Kind{coherence.MEI, coherence.MSI, coherence.MOESI}, coherence.MEI},
+		{[]coherence.Kind{coherence.MSI, coherence.MESI, coherence.MOESI}, coherence.MSI},
+		{[]coherence.Kind{coherence.MESI, coherence.MESI, coherence.MOESI}, coherence.MESI},
+		{[]coherence.Kind{coherence.MOESI, coherence.MOESI, coherence.MOESI}, coherence.MOESI},
+		{[]coherence.Kind{coherence.Dragon, coherence.Dragon, coherence.Dragon}, coherence.Dragon},
+		{[]coherence.Kind{coherence.MOESI, coherence.None, coherence.None}, coherence.MEI},
 	} {
-		res, err := Explore(Config{Protocols: kinds, Mode: ModeWrapped})
-		if err != nil {
-			t.Fatalf("%v: %v", kinds, err)
-		}
-		if !res.Complete || len(res.Violations) != 0 {
-			t.Errorf("%v: complete=%v violations=%d", kinds, res.Complete, len(res.Violations))
-		}
+		checkProved(t, c.kinds, c.effective)
 	}
 }
 
-// TestWrappedAgreesWithVerify cross-validates the two model checkers: for
-// coherent-only mixes they model the same system, so the per-master
-// reachable sets must be identical.
-func TestWrappedAgreesWithVerify(t *testing.T) {
-	for _, kinds := range pairs() {
-		skip := false
-		for _, k := range kinds {
-			if k == coherence.None {
-				skip = true
-			}
-		}
-		if skip {
-			continue
-		}
-		integ, err := core.Reduce(kinds)
-		if err != nil {
-			continue
-		}
-		want, err := core.Verify(kinds, integ.Policies, integ.Effective)
-		if err != nil {
-			t.Fatalf("Verify(%v): %v", kinds, err)
-		}
-		got, err := Explore(Config{Protocols: kinds, Mode: ModeWrapped})
-		if err != nil {
-			t.Fatalf("Explore(%v): %v", kinds, err)
-		}
-		if len(want.Violations) != 0 || len(got.Violations) != 0 {
-			t.Errorf("%v: violations verify=%d explore=%d", kinds, len(want.Violations), len(got.Violations))
-		}
-		for i := range kinds {
-			if !reflect.DeepEqual(want.Reachable[i], got.Reachable[i]) {
-				t.Errorf("%v P%d: reachable verify=%v explore=%v", kinds, i, want.Reachable[i], got.Reachable[i])
-			}
-		}
+// TestWrappedQuadsProved proves the 4-master mixes the simulator runs: the
+// heterogeneous scaling mix of BenchmarkScalingProcessors, a PF1 platform
+// and a homogeneous MOESI system with cache-to-cache sharing.
+func TestWrappedQuadsProved(t *testing.T) {
+	for _, c := range []struct {
+		kinds     []coherence.Kind
+		effective coherence.Kind
+	}{
+		{[]coherence.Kind{coherence.MEI, coherence.MESI, coherence.MOESI, coherence.MSI}, coherence.MEI},
+		{[]coherence.Kind{coherence.None, coherence.None, coherence.None, coherence.None}, coherence.MEI},
+		{[]coherence.Kind{coherence.MOESI, coherence.MOESI, coherence.MOESI, coherence.MOESI}, coherence.MOESI},
+	} {
+		checkProved(t, c.kinds, c.effective)
+	}
+}
+
+// checkProved explores kinds wrapped and requires a complete, violation-free
+// sweep under the expected effective protocol.
+func checkProved(t *testing.T, kinds []coherence.Kind, effective coherence.Kind) {
+	t.Helper()
+	res, err := Explore(Config{Protocols: kinds, Mode: ModeWrapped})
+	if err != nil {
+		t.Fatalf("%v: %v", kinds, err)
+	}
+	if res.Effective != effective {
+		t.Errorf("%v: effective %v, want %v", kinds, res.Effective, effective)
+	}
+	if !res.Complete || len(res.Violations) != 0 {
+		t.Errorf("%v: complete=%v violations=%d", kinds, res.Complete, len(res.Violations))
 	}
 }
 
@@ -130,19 +122,27 @@ func TestEliminatedStates(t *testing.T) {
 		kinds      []coherence.Kind
 		master     int
 		eliminated []coherence.State
+		kept       []coherence.State
 	}{
 		// MEI mix: S and O disappear everywhere.
-		{[]coherence.Kind{coherence.MEI, coherence.MESI}, 1, []coherence.State{coherence.Shared}},
-		{[]coherence.Kind{coherence.MEI, coherence.MOESI}, 1, []coherence.State{coherence.Shared, coherence.Owned}},
+		{[]coherence.Kind{coherence.MEI, coherence.MESI}, 1, []coherence.State{coherence.Shared}, nil},
+		{[]coherence.Kind{coherence.MEI, coherence.MOESI}, 1, []coherence.State{coherence.Shared, coherence.Owned}, nil},
 		// MSI mix: E disappears on the MESI/MOESI side, M→O never fires.
-		{[]coherence.Kind{coherence.MSI, coherence.MESI}, 1, []coherence.State{coherence.Exclusive}},
-		{[]coherence.Kind{coherence.MSI, coherence.MOESI}, 1, []coherence.State{coherence.Exclusive, coherence.Owned}},
-		// MESI+MOESI: only O disappears.
-		{[]coherence.Kind{coherence.MESI, coherence.MOESI}, 1, []coherence.State{coherence.Owned}},
+		{[]coherence.Kind{coherence.MSI, coherence.MESI}, 1, []coherence.State{coherence.Exclusive}, nil},
+		{[]coherence.Kind{coherence.MSI, coherence.MOESI}, 1, []coherence.State{coherence.Exclusive, coherence.Owned}, nil},
+		// MESI+MOESI: only O disappears; the I→S path via the shared signal
+		// remains, so the mix reduces to MESI, not MEI.
+		{[]coherence.Kind{coherence.MESI, coherence.MOESI}, 1, []coherence.State{coherence.Owned}, nil},
+		{[]coherence.Kind{coherence.MESI, coherence.MOESI}, 0, nil, []coherence.State{coherence.Shared}},
+		// Homogeneous systems keep their native protocol: MOESI reaches O
+		// with cache-to-cache sharing on, and the update-based Dragon
+		// reaches both Sm (O) and Sc (S).
+		{[]coherence.Kind{coherence.MOESI, coherence.MOESI}, 0, nil, []coherence.State{coherence.Owned}},
+		{[]coherence.Kind{coherence.Dragon, coherence.Dragon}, 0, nil, []coherence.State{coherence.Owned, coherence.Shared}},
 		// PF2 with a shared-state protocol: the implicit MEI of the
 		// coherence-less cache removes S (the defect the explorer found).
-		{[]coherence.Kind{coherence.MESI, coherence.None}, 0, []coherence.State{coherence.Shared}},
-		{[]coherence.Kind{coherence.MOESI, coherence.None}, 0, []coherence.State{coherence.Shared, coherence.Owned}},
+		{[]coherence.Kind{coherence.MESI, coherence.None}, 0, []coherence.State{coherence.Shared}, nil},
+		{[]coherence.Kind{coherence.MOESI, coherence.None}, 0, []coherence.State{coherence.Shared, coherence.Owned}, nil},
 	}
 	for _, c := range cases {
 		res, err := Explore(Config{Protocols: c.kinds, Mode: ModeWrapped})
@@ -154,6 +154,11 @@ func TestEliminatedStates(t *testing.T) {
 				t.Errorf("%v: P%d still reaches %v: %v", c.kinds, c.master, s, res.Reachable[c.master])
 			}
 		}
+		for _, s := range c.kept {
+			if !res.Contains(c.master, s) {
+				t.Errorf("%v: P%d never reaches %v: %v", c.kinds, c.master, s, res.Reachable[c.master])
+			}
+		}
 	}
 }
 
@@ -162,28 +167,39 @@ func TestEliminatedStates(t *testing.T) {
 // broken reduction), while mixes that never needed the shared signal stay
 // clean even unwired — exactly the paper's claim about which wirings matter.
 func TestUnwiredPositiveControl(t *testing.T) {
-	mustViolate := [][]coherence.Kind{
-		{coherence.MEI, coherence.MESI},
-		{coherence.MEI, coherence.MOESI},
-		{coherence.MSI, coherence.MESI},
-		{coherence.MESI, coherence.MESI}, // E dupes without the shared wire
-		{coherence.MOESI, coherence.MOESI},
-		{coherence.MESI, coherence.None},
-		{coherence.Dragon, coherence.MESI},
-		{coherence.Dragon, coherence.Dragon}, // ownership needs the shared wire
+	// check/master, when set, name a violation the mix must exhibit.
+	mustViolate := []struct {
+		kinds  []coherence.Kind
+		check  string
+		master int
+	}{
+		{[]coherence.Kind{coherence.MEI, coherence.MESI}, "", 0},
+		// The paper's Table 2: the MESI copy is read stale.
+		{[]coherence.Kind{coherence.MESI, coherence.MEI}, CheckStaleRead, 0},
+		{[]coherence.Kind{coherence.MEI, coherence.MOESI}, "", 0},
+		{[]coherence.Kind{coherence.MSI, coherence.MESI}, "", 0},  // the paper's Table 3
+		{[]coherence.Kind{coherence.MESI, coherence.MESI}, "", 0}, // E dupes without the shared wire
+		{[]coherence.Kind{coherence.MOESI, coherence.MOESI}, "", 0},
+		{[]coherence.Kind{coherence.MESI, coherence.None}, "", 0},
+		{[]coherence.Kind{coherence.Dragon, coherence.MESI}, "", 0},
+		{[]coherence.Kind{coherence.Dragon, coherence.Dragon}, "", 0}, // ownership needs the shared wire
 	}
-	for _, kinds := range mustViolate {
-		res, err := Explore(Config{Protocols: kinds, Mode: ModeUnwired})
+	for _, c := range mustViolate {
+		res, err := Explore(Config{Protocols: c.kinds, Mode: ModeUnwired})
 		if err != nil {
-			t.Fatalf("%v: %v", kinds, err)
+			t.Fatalf("%v: %v", c.kinds, err)
 		}
 		if len(res.Violations) == 0 {
-			t.Errorf("%v: unwired system found coherent — positive control broken", kinds)
+			t.Errorf("%v: unwired system found coherent — positive control broken", c.kinds)
 			continue
 		}
-		v := res.Violations[0]
-		if len(v.Path) == 0 || len(v.Trace) != len(v.Path)+1 {
-			t.Errorf("%v: counterexample not replayable: path %v trace %d lines", kinds, v.Path, len(v.Trace))
+		for _, v := range res.Violations {
+			if len(v.Path) == 0 || len(v.Trace) != len(v.Path)+1 {
+				t.Errorf("%v: counterexample not replayable: path %v trace %d lines", c.kinds, v.Path, len(v.Trace))
+			}
+		}
+		if c.check != "" && !hasViolation(res, c.check, c.master) {
+			t.Errorf("%v: no %s at P%d; got %v", c.kinds, c.check, c.master, res.Violations)
 		}
 	}
 
@@ -204,6 +220,15 @@ func TestUnwiredPositiveControl(t *testing.T) {
 			t.Errorf("%v: expected coherent without wrappers, got %v", kinds, res.Violations[0])
 		}
 	}
+}
+
+func hasViolation(res *Result, check string, master int) bool {
+	for _, v := range res.Violations {
+		if v.Check == check && v.Master == master {
+			return true
+		}
+	}
+	return false
 }
 
 // TestCounterexampleDeterminism: the same configuration must yield the same
