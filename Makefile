@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build test race verify allocs hostbench bench bench-diff bench-explain bench-trend gobench bench-metrics bench-audit fmt vet lint observe cover explore
+.PHONY: all build test race verify allocs hostbench bench bench-diff bench-explain bench-trend fmt vet lint observe cover explore
 
 all: build
 
@@ -70,22 +70,9 @@ bench-explain: bench
 	$(GO) run ./cmd/bench diff -explain -json bench-delta.json BENCH_seed.json BENCH_dev.json
 
 # Performance trajectory across every committed BENCH_*.json (seed first):
-# total cycles, per-solution totals, bus utilisation, go-bench ns/op+allocs.
+# total cycles, per-solution totals, bus utilisation.
 bench-trend:
 	$(GO) run ./cmd/bench trend
-
-# Wall-clock Go microbenchmarks (ns/op, allocations).
-gobench:
-	$(GO) test -run xxx -bench . -benchmem ./...
-
-# The metrics guard: the Disabled ns/op must stay within ~2% of a build
-# without instrumentation (every disabled-path record is one nil check).
-bench-metrics:
-	$(GO) test -run xxx -bench 'BenchmarkMetrics(Disabled|Enabled)' -benchmem -count 5 .
-	$(GO) test -run xxx -bench BenchmarkLogAddf -benchmem ./internal/trace
-
-bench-audit:
-	$(GO) test -run xxx -bench 'Benchmark(EventsDisabled|AuditEnabled)' -benchmem -count 5 .
 
 # Statement-coverage gate for the proof-bearing packages: the reduction rules
 # (internal/core), the TAG-CAM snoop logic (internal/snooplogic) and the

@@ -168,135 +168,63 @@ func BenchmarkFigure8MissPenalty(b *testing.B) {
 
 // --- Substrate micro-benchmarks ----------------------------------------------
 
-// BenchmarkSimulatorThroughput measures raw engine speed on the paper's
-// default WCS configuration (cycles simulated per wall second).
-func BenchmarkSimulatorThroughput(b *testing.B) {
-	var cycles uint64
-	for i := 0; i < b.N; i++ {
-		res, err := Run(Config{Scenario: WCS, Solution: Proposed, Params: Params{Lines: 16, ExecTime: 2}})
-		if err != nil || res.Err != nil {
-			b.Fatal(err, res.Err)
-		}
-		cycles += res.Cycles
+// BenchmarkObserverCost prices each observer layer on the reference WCS run
+// (PF2, Proposed, 16 lines, exec time 2): one arm with no observer, one per
+// observer and one with all of them.  An arm's cost is its ns/op and
+// allocs/op over base's (EXPERIMENTS.md "Observer cost").  Every arm also
+// holds the observer contract: a Result section is present exactly when its
+// observer is on, the auditor finds no violation, and the run takes base's
+// simulated cycles, since observers only watch.
+func BenchmarkObserverCost(b *testing.B) {
+	arms := []struct {
+		name string
+		on   func(*Config)
+	}{
+		{"base", func(*Config) {}},
+		{"metrics", func(c *Config) { c.Metrics = true }},
+		{"audit", func(c *Config) { c.Audit = true }},
+		{"profile", func(c *Config) { c.Profile = true }},
+		{"spans", func(c *Config) { c.Spans = true }},
+		{"sharing", func(c *Config) { c.Sharing = true }},
+		{"all", func(c *Config) { c.Metrics, c.Audit, c.Profile, c.Spans, c.Sharing = true, true, true, true, true }},
 	}
-	b.ReportMetric(float64(cycles)/float64(b.N), "simCycles/op")
-}
-
-// BenchmarkSchedulerThroughput compares the two engine scheduling strategies
-// on a stall-dominated run: the paper's PF2 WCS under the Proposed solution
-// with the Figure 8 slow-memory lever at 96 extra cycles, where two thirds of
-// all core edges are refill stalls — exactly the idle edges the event
-// scheduler skips in bulk.  Cycle counts are asserted identical to the tick
-// reference on every iteration; only the wall clock may differ.
-// BENCH_pr8.json records the ns/op of both arms (event ≈ 3× tick).
-func BenchmarkSchedulerThroughput(b *testing.B) {
-	cfg := func(scheduler string) Config {
-		return Config{
-			Scenario:  WCS,
-			Solution:  Proposed,
-			Timing:    memory.ScaledTiming(96),
-			Params:    Params{Lines: 8, ExecTime: 1, Iterations: 8, WordsPerLine: 8},
-			Scheduler: scheduler,
-		}
+	ref := Config{Scenario: WCS, Solution: Proposed, Params: Params{Lines: 16, ExecTime: 2}}
+	base := MustRun(ref)
+	if base.Err != nil {
+		b.Fatal(base.Err)
 	}
-	ref := MustRun(cfg(platform.SchedulerTick))
-	if ref.Err != nil {
-		b.Fatal(ref.Err)
-	}
-	for _, scheduler := range schedulerModes {
-		scheduler := scheduler
-		b.Run(scheduler, func(b *testing.B) {
+	for _, arm := range arms {
+		cfg := ref
+		arm.on(&cfg)
+		b.Run(arm.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, err := Run(cfg(scheduler))
+				res, err := Run(cfg)
 				if err != nil || res.Err != nil {
 					b.Fatal(err, res.Err)
 				}
-				if res.Cycles != ref.Cycles {
-					b.Fatalf("%s run took %d cycles, tick reference took %d", scheduler, res.Cycles, ref.Cycles)
+				if res.Cycles != base.Cycles {
+					b.Fatalf("run took %d cycles, base took %d", res.Cycles, base.Cycles)
+				}
+				for _, s := range []struct {
+					name        string
+					on, present bool
+				}{
+					{"metrics", cfg.Metrics, res.Metrics != nil},
+					{"audit", cfg.Audit, res.Audit != nil},
+					{"profile", cfg.Profile, res.Profile != nil},
+					{"spans", cfg.Spans, res.CriticalPath != nil},
+					{"sharing", cfg.Sharing, res.Sharing != nil},
+				} {
+					if s.on != s.present {
+						b.Fatalf("%s section present=%v with the observer on=%v", s.name, s.present, s.on)
+					}
+				}
+				if res.Audit != nil && res.Audit.ViolationCount != 0 {
+					b.Fatalf("audited run violated invariants: %v", res.Audit.Violations)
 				}
 			}
-			b.ReportMetric(float64(ref.Cycles), "simCycles/op")
 		})
-	}
-}
-
-// BenchmarkMetricsDisabled is the guard benchmark for the nil-instrument
-// path: the reference WCS run with metrics off.  Compare against
-// BenchmarkMetricsEnabled — the disabled path must stay within noise (<2%)
-// of the pre-instrumentation baseline, since every hot-path record
-// collapses to a nil-receiver branch.
-func BenchmarkMetricsDisabled(b *testing.B) {
-	benchMetricsRun(b, false)
-}
-
-// BenchmarkMetricsEnabled measures the same run with the full metrics layer
-// recording (histograms, counters, time series, tenure capture).
-func BenchmarkMetricsEnabled(b *testing.B) {
-	benchMetricsRun(b, true)
-}
-
-func benchMetricsRun(b *testing.B, metrics bool) {
-	b.Helper()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		res, err := Run(Config{
-			Scenario: WCS,
-			Solution: Proposed,
-			Metrics:  metrics,
-			Params:   Params{Lines: 16, ExecTime: 2},
-		})
-		if err != nil || res.Err != nil {
-			b.Fatal(err, res.Err)
-		}
-		if metrics && res.Metrics == nil {
-			b.Fatal("metrics enabled but no snapshot")
-		}
-		if !metrics && res.Metrics != nil {
-			b.Fatal("metrics disabled but snapshot present")
-		}
-	}
-}
-
-// BenchmarkEventsDisabled is the guard benchmark for the nil-sink path: the
-// reference WCS run with the coherence event stream off.  Compare against
-// BenchmarkAuditEnabled — with no sink, every emit helper collapses to a
-// nil-receiver branch, so the disabled path must stay within noise of the
-// pre-instrumentation baseline.
-func BenchmarkEventsDisabled(b *testing.B) {
-	benchAuditRun(b, false)
-}
-
-// BenchmarkAuditEnabled measures the same run with the event stream live and
-// the online invariant auditor subscribed (SWMR, dirty-owner, data-value and
-// reduction checks on every state change).
-func BenchmarkAuditEnabled(b *testing.B) {
-	benchAuditRun(b, true)
-}
-
-func benchAuditRun(b *testing.B, audit bool) {
-	b.Helper()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		res, err := Run(Config{
-			Scenario: WCS,
-			Solution: Proposed,
-			Audit:    audit,
-			Params:   Params{Lines: 16, ExecTime: 2},
-		})
-		if err != nil || res.Err != nil {
-			b.Fatal(err, res.Err)
-		}
-		if audit {
-			if res.Audit == nil {
-				b.Fatal("audit enabled but no summary")
-			}
-			if res.Audit.ViolationCount != 0 {
-				b.Fatalf("audited benchmark run violated invariants: %v", res.Audit.Violations)
-			}
-		} else if res.Audit != nil {
-			b.Fatal("audit disabled but summary present")
-		}
 	}
 }
 

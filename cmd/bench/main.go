@@ -8,20 +8,17 @@
 // change, not noise.
 //
 //	bench -o BENCH_$(git rev-parse --short HEAD).json
-//	bench diff BENCH_seed.json BENCH_new.json            # exit 1 on regression
-//	bench -gobench 'BenchmarkMetrics' -o BENCH_dev.json  # add wall-clock ns/op
-//	bench trend                                          # trajectory across BENCH_*.json
+//	bench diff BENCH_seed.json BENCH_new.json  # exit 1 on regression
+//	bench trend                                # trajectory across BENCH_*.json
 //
 // `bench diff` compares two such files run by run: cycle-count increases
 // beyond -threshold (default 10%) fail the diff, decreases are reported as
-// improvements, and a run missing from the new file always fails.  Wall-clock
-// go-bench numbers are carried for context only — they are excluded from the
-// digest and never gate the diff.
+// improvements, and a run missing from the new file always fails.
 //
 // `bench trend` reads every committed BENCH_*.json (seed first, then sorted
 // by filename) and prints the trajectory of total cycles, per-solution cycle
-// totals, bus utilisation and recorded go-bench ns/op / allocs/op across
-// revisions — the history of the repo's performance work at a glance.
+// totals and bus utilisation across revisions.  Host wall-clock time is
+// measured by hostbench/, not here.
 package main
 
 import (
@@ -33,9 +30,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"regexp"
 	"sort"
-	"strconv"
 	"strings"
 
 	"hetcc"
@@ -62,13 +57,10 @@ type File struct {
 	// Runs holds one entry per platform × scenario × solution, in a fixed
 	// order.
 	Runs []Run `json:"runs"`
-	// GoBench carries optional wall-clock ns/op numbers from `go test
-	// -bench`.  Machine-dependent: excluded from Digest and from diffing.
-	GoBench []GoBench `json:"go_bench,omitempty"`
 	// Manifest records the producing toolchain, module revision and flags.
-	// Machine-dependent like GoBench, so it is excluded from Digest; diff
-	// and trend use it to warn when numbers span toolchains.  Nil in files
-	// written before the field existed.
+	// Machine-dependent, so it is excluded from Digest; diff and trend use
+	// it to warn when files span toolchains.  Nil in files written before
+	// the field existed.
 	Manifest *platform.Manifest `json:"manifest,omitempty"`
 	// Digest is the hex SHA-256 of the canonical JSON of (Params, Runs),
 	// certifying the deterministic portion of the file.
@@ -90,15 +82,6 @@ type Run struct {
 	BusUtilization float64 `json:"bus_utilization"`
 	// Stalls is the per-core stall-cause breakdown from the cycle ledger.
 	Stalls []profile.CoreSummary `json:"stalls"`
-}
-
-// GoBench is one parsed `go test -bench` line.
-type GoBench struct {
-	Name string  `json:"name"`
-	NsOp float64 `json:"ns_op"`
-	// AllocsOp is the -benchmem allocations per op; nil in files written
-	// before the field existed.
-	AllocsOp *uint64 `json:"allocs_op,omitempty"`
 }
 
 func main() {
@@ -128,13 +111,12 @@ var presets = []preset{
 func runBench(argv []string) int {
 	fs := flag.NewFlagSet("bench", flag.ExitOnError)
 	var (
-		out     = fs.String("o", "", "output file (default BENCH_<rev>.json)")
-		rev     = fs.String("rev", "", "revision label (default git rev-parse --short HEAD, else \"dev\")")
-		jobs    = fs.Int("jobs", 0, "parallel simulations (0 = GOMAXPROCS)")
-		gobench = fs.String("gobench", "", "also run `go test -bench <pattern>` and record ns/op")
-		lines   = fs.Int("lines", 8, "cache lines accessed per iteration")
-		iters   = fs.Int("iterations", 8, "critical-section entries per task")
-		sched   = fs.String("scheduler", "", "engine scheduling strategy: event or tick (default: the library default; cycle counts are identical either way)")
+		out   = fs.String("o", "", "output file (default BENCH_<rev>.json)")
+		rev   = fs.String("rev", "", "revision label (default git rev-parse --short HEAD, else \"dev\")")
+		jobs  = fs.Int("jobs", 0, "parallel simulations (0 = GOMAXPROCS)")
+		lines = fs.Int("lines", 8, "cache lines accessed per iteration")
+		iters = fs.Int("iterations", 8, "critical-section entries per task")
+		sched = fs.String("scheduler", "", "engine scheduling strategy: event or tick (default: the library default; cycle counts are identical either way)")
 	)
 	fs.Parse(argv)
 
@@ -202,15 +184,6 @@ func runBench(argv []string) int {
 		fmt.Printf("%-28s %9d cycles  util %4.1f%%\n", r.Label, res.Cycles, util*100)
 	}
 
-	if *gobench != "" {
-		gb, err := runGoBench(*gobench)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bench: go test -bench: %v\n", err)
-			return 2
-		}
-		f.GoBench = gb
-	}
-
 	var err error
 	f.Digest, err = digest(f)
 	if err != nil {
@@ -275,7 +248,7 @@ func runDiff(argv []string) int {
 		return 2
 	}
 	if !old.Manifest.SameToolchain(cur.Manifest) {
-		fmt.Println("warning: comparing across toolchains — wall-clock numbers are not comparable (cycle counts still are):")
+		fmt.Println("warning: comparing across toolchains (cycle counts are still comparable):")
 		for _, d := range old.Manifest.Diff(cur.Manifest) {
 			fmt.Printf("warning:   %s\n", d)
 		}
@@ -370,8 +343,9 @@ func runDiff(argv []string) int {
 }
 
 // runTrend prints the performance trajectory across every committed bench
-// file: total cycles (with deltas), per-solution cycle totals, mean bus
-// utilisation, and any recorded go-bench wall-clock/allocation numbers.
+// file: total cycles (with deltas), per-solution cycle totals and mean bus
+// utilisation.  Files written while the bench file still carried go_bench
+// wall-clock rows load unchanged: encoding/json skips the unknown field.
 func runTrend(argv []string) int {
 	fs := flag.NewFlagSet("bench trend", flag.ExitOnError)
 	dir := fs.String("dir", ".", "directory holding BENCH_*.json files")
@@ -411,8 +385,8 @@ func runTrend(argv []string) int {
 		points = append(points, point{p, f})
 	}
 
-	// Wall-clock columns spanning toolchains are not comparable; say so
-	// once up front (cycle counts are machine-independent either way).
+	// Name any pair of files recorded on different toolchains once up
+	// front (cycle counts are machine-independent either way).
 	// Manifest-less files (pre-v5) carry no toolchain claim: they neither
 	// trigger a warning themselves nor mask a genuine mismatch between the
 	// recorded manifests on either side of them, so each recorded manifest
@@ -423,7 +397,7 @@ func runTrend(argv []string) int {
 			continue
 		}
 		if lastRecorded != nil && !lastRecorded.file.Manifest.SameToolchain(points[i].file.Manifest) {
-			fmt.Printf("warning: %s and %s were recorded on different toolchains — ns/op columns are not comparable\n",
+			fmt.Printf("warning: %s and %s were recorded on different toolchains\n",
 				lastRecorded.file.Rev, points[i].file.Rev)
 		}
 		lastRecorded = &points[i]
@@ -459,54 +433,11 @@ func runTrend(argv []string) int {
 		fmt.Println()
 		prevTotal = total
 	}
-
-	// Go-bench trajectory: one row per benchmark seen anywhere, one column
-	// per revision that recorded it.
-	seen := map[string]bool{}
-	var names []string
-	for _, pt := range points {
-		for _, gb := range pt.file.GoBench {
-			if !seen[gb.Name] {
-				seen[gb.Name] = true
-				names = append(names, gb.Name)
-			}
-		}
-	}
-	if len(names) == 0 {
-		return 0
-	}
-	sort.Strings(names)
-	fmt.Printf("\n%-36s", "go-bench (ns/op [allocs/op])")
-	for _, pt := range points {
-		fmt.Printf(" %16s", pt.file.Rev)
-	}
-	fmt.Println()
-	for _, name := range names {
-		fmt.Printf("%-36s", strings.TrimPrefix(name, "Benchmark"))
-		for _, pt := range points {
-			cell := "-"
-			for _, gb := range pt.file.GoBench {
-				if gb.Name == name {
-					// Older files predate allocs_op; render a placeholder
-					// rather than implying zero allocations.
-					cell = fmt.Sprintf("%.1f", gb.NsOp)
-					if gb.AllocsOp != nil {
-						cell += fmt.Sprintf(" [%d]", *gb.AllocsOp)
-					} else {
-						cell += " [-]"
-					}
-					break
-				}
-			}
-			fmt.Printf(" %16s", cell)
-		}
-		fmt.Println()
-	}
 	return 0
 }
 
 // digest hashes the canonical JSON of the deterministic fields (params and
-// runs — not rev, not go_bench wall clocks).
+// runs — not rev, not the manifest).
 func digest(f File) (string, error) {
 	raw, err := json.Marshal(struct {
 		Params hetcc.Params `json:"params"`
@@ -579,36 +510,4 @@ func gitRev() string {
 		return "dev"
 	}
 	return strings.TrimSpace(string(out))
-}
-
-// benchLine matches `go test -bench -benchmem` result rows, e.g.
-// "BenchmarkMetricsDisabled-8   1234   987.6 ns/op   0 B/op   0 allocs/op".
-var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+\d+\s+([0-9.]+) ns/op(?:\s+[0-9]+ B/op\s+([0-9]+) allocs/op)?`)
-
-func runGoBench(pattern string) ([]GoBench, error) {
-	cmd := exec.Command("go", "test", "-run", "xxx", "-bench", pattern, "-benchmem", "./...")
-	cmd.Stderr = os.Stderr
-	out, err := cmd.Output()
-	if err != nil {
-		return nil, err
-	}
-	var results []GoBench
-	for _, line := range strings.Split(string(out), "\n") {
-		m := benchLine.FindStringSubmatch(strings.TrimSpace(line))
-		if m == nil {
-			continue
-		}
-		ns, err := strconv.ParseFloat(m[2], 64)
-		if err != nil {
-			continue
-		}
-		gb := GoBench{Name: m[1], NsOp: ns}
-		if m[3] != "" {
-			if allocs, err := strconv.ParseUint(m[3], 10, 64); err == nil {
-				gb.AllocsOp = &allocs
-			}
-		}
-		results = append(results, gb)
-	}
-	return results, nil
 }

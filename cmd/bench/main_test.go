@@ -1,10 +1,12 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -43,12 +45,12 @@ func writeSample(t *testing.T, name string, f File) string {
 }
 
 // TestDigestIgnoresWallClockFields pins what the digest certifies: params and
-// runs, not the revision label or the machine-dependent go-bench numbers.
+// runs, not the revision label or the machine-dependent manifest.
 func TestDigestIgnoresWallClockFields(t *testing.T) {
 	a := sampleFile(1000)
 	b := sampleFile(1000)
 	b.Rev = "other"
-	b.GoBench = []GoBench{{Name: "BenchmarkX", NsOp: 123.4}}
+	b.Manifest = &platform.Manifest{SchemaVersion: 6, GoVersion: "go9.9-other"}
 	da, err := digest(a)
 	if err != nil {
 		t.Fatal(err)
@@ -58,7 +60,7 @@ func TestDigestIgnoresWallClockFields(t *testing.T) {
 		t.Fatal(err)
 	}
 	if da != db {
-		t.Fatal("digest depends on rev/go_bench")
+		t.Fatal("digest depends on rev/manifest")
 	}
 	c := sampleFile(1001)
 	if dc, _ := digest(c); dc == da {
@@ -275,26 +277,60 @@ func TestDiffJSONArtifact(t *testing.T) {
 	}
 }
 
-// TestTrendMixedSchemaFiles: trend must tolerate older files that predate
-// allocs_op (rendering "[-]") and warn when files span toolchains.
+// TestTrendMixedSchemaFiles: trend must load an older file that still
+// carries the retired go_bench wall-clock rows next to one without them, and
+// warn when the files span toolchains.
 func TestTrendMixedSchemaFiles(t *testing.T) {
-	dir := t.TempDir()
 	oldFile := sampleFile(1000)
 	oldFile.Rev = "seed"
-	oldFile.GoBench = []GoBench{{Name: "BenchmarkWCS", NsOp: 120.5}} // no allocs_op
 	oldFile.Manifest = &platform.Manifest{SchemaVersion: 5, GoVersion: "go1.0-old"}
 	newFile := sampleFile(900)
 	newFile.Rev = "head"
-	allocs := uint64(3)
-	newFile.GoBench = []GoBench{{Name: "BenchmarkWCS", NsOp: 110.0, AllocsOp: &allocs}}
 	newFile.Manifest = &platform.Manifest{SchemaVersion: 5, GoVersion: "go9.9-other"}
-	for name, f := range map[string]File{"BENCH_seed.json": oldFile, "BENCH_head.json": newFile} {
-		d, err := digest(f)
-		if err != nil {
-			t.Fatal(err)
+	dir := writeTrendDir(t, map[string]File{"BENCH_seed.json": oldFile, "BENCH_head.json": newFile})
+	seed := filepath.Join(dir, "BENCH_seed.json")
+	raw := bytes.Replace(readBenchFile(t, seed), []byte(`"digest":`), []byte(`"go_bench": [{"name": "BenchmarkWCS", "ns_op": 120.5}], "digest":`), 1)
+	if !bytes.Contains(raw, []byte("go_bench")) {
+		t.Fatal("go_bench rows not injected")
+	}
+	if err := os.WriteFile(seed, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, code := captureStdout(t, func() int { return runTrend([]string{"-dir", dir}) })
+	if code != 0 {
+		t.Fatalf("exit %d\n%s", code, out)
+	}
+	for _, want := range []string{"seed", "head", "1000", "900", "different toolchains"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("trend output lacks %q:\n%s", want, out)
 		}
-		f.Digest = d
-		if err := writeFile(filepath.Join(dir, name), f); err != nil {
+	}
+	if strings.Contains(out, "120.5") {
+		t.Fatalf("trend still renders go_bench rows:\n%s", out)
+	}
+}
+
+// committedBenchFiles are the BENCH files at the repository root.
+var committedBenchFiles = []string{"BENCH_seed.json", "BENCH_pr5.json", "BENCH_pr8.json"}
+
+func readBenchFile(tb testing.TB, path string) []byte {
+	tb.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return raw
+}
+
+// TestTrendGolden pins `bench trend` over the committed BENCH files, two of
+// which carry go_bench rows from before the field was retired.  Regenerate
+// from a checkout holding only those three BENCH files with
+// `go run ./cmd/bench trend > cmd/bench/testdata/trend.golden`.
+func TestTrendGolden(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range committedBenchFiles {
+		raw := readBenchFile(t, filepath.Join("..", "..", name))
+		if err := os.WriteFile(filepath.Join(dir, name), raw, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -302,24 +338,45 @@ func TestTrendMixedSchemaFiles(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit %d\n%s", code, out)
 	}
-	if !strings.Contains(out, "120.5 [-]") {
-		t.Fatalf("missing allocs_op not rendered as [-]:\n%s", out)
+	want, err := os.ReadFile(filepath.Join("testdata", "trend.golden"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(out, "110.0 [3]") {
-		t.Fatalf("recorded allocs_op not rendered:\n%s", out)
-	}
-	if !strings.Contains(out, "different toolchains") {
-		t.Fatalf("cross-toolchain trend warning missing:\n%s", out)
+	if out != string(want) {
+		t.Fatalf("bench trend output drifted from testdata/trend.golden:\n got:\n%s\nwant:\n%s", out, want)
 	}
 }
 
-// TestBenchLineParsing pins the `go test -bench` output row format.
-func TestBenchLineParsing(t *testing.T) {
-	m := benchLine.FindStringSubmatch("BenchmarkMetricsDisabled-8   117   10212345.0 ns/op   0 B/op   0 allocs/op")
-	if m == nil || m[1] != "BenchmarkMetricsDisabled-8" || m[2] != "10212345.0" {
-		t.Fatalf("parse failed: %v", m)
+// FuzzReadFile: any input either fails to load or yields a File whose
+// rewrite by writeFile reads back to the same digest and runs.  The seeds are
+// whole BENCH files of about 17 KB, which the fuzzer is slow to minimise, so
+// run it with -fuzzminimizetime 0s.
+func FuzzReadFile(f *testing.F) {
+	for _, name := range committedBenchFiles {
+		f.Add(readBenchFile(f, filepath.Join("..", "..", name)))
 	}
-	if benchLine.FindStringSubmatch("ok  hetcc  1.2s") != nil {
-		t.Fatal("summary line misparsed as a result")
-	}
+	seed := readBenchFile(f, filepath.Join("..", "..", committedBenchFiles[0]))
+	f.Add(bytes.Replace(seed, []byte(`"digest": "2`), []byte(`"digest": "3`), 1))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		dir := t.TempDir()
+		in := filepath.Join(dir, "in.json")
+		if err := os.WriteFile(in, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, err := readFile(in)
+		if err != nil {
+			return
+		}
+		out := filepath.Join(dir, "out.json")
+		if err := writeFile(out, got); err != nil {
+			t.Fatalf("accepted file does not rewrite: %v", err)
+		}
+		again, err := readFile(out)
+		if err != nil {
+			t.Fatalf("rewritten file does not re-read: %v", err)
+		}
+		if again.Digest != got.Digest || !reflect.DeepEqual(again.Runs, got.Runs) {
+			t.Fatalf("round trip changed the file:\n%+v\n%+v", got, again)
+		}
+	})
 }

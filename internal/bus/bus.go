@@ -788,7 +788,7 @@ func (b *Bus) prepare(now uint64, id int) prepared {
 		b.stats.Aborted++
 		b.consecutiveAborts++
 		if b.log.Enabled() {
-			b.log.Addf(now, "bus", "ARTRY %s %s 0x%08x (retry %d)", m.name, t.Kind, t.Addr, t.retries)
+			b.log.Addf("bus", "ARTRY %s %s 0x%08x (retry %d)", m.name, t.Kind, t.Addr, t.retries)
 		}
 		b.curAbort = true
 		b.events.Retry(t.Master, uint8(t.Kind), t.Addr, t.retries, drain, t.id)
@@ -802,7 +802,7 @@ func (b *Bus) prepare(now uint64, id int) prepared {
 		if (b.consecutiveAborts >= b.cfg.DeadlockThreshold || t.retries >= b.cfg.DeadlockThreshold) && !b.deadlock {
 			b.deadlock = true
 			if b.log.Enabled() {
-				b.log.Addf(now, "bus", "hardware deadlock detected (consecutive aborts %d, transaction retries %d)", b.consecutiveAborts, t.retries)
+				b.log.Addf("bus", "hardware deadlock detected (consecutive aborts %d, transaction retries %d)", b.consecutiveAborts, t.retries)
 			}
 			if b.onDeadlock != nil {
 				b.onDeadlock()
@@ -850,7 +850,7 @@ func (b *Bus) prepare(now uint64, id int) prepared {
 
 	latency += m.latency // wrapper protocol-conversion cost
 	if b.log.Enabled() {
-		b.log.Addf(now, "bus", "grant %s %s 0x%08x shared=%v lat=%d", m.name, t.Kind, t.Addr, shared, latency)
+		b.log.Addf("bus", "grant %s %s 0x%08x shared=%v lat=%d", m.name, t.Kind, t.Addr, shared, latency)
 	}
 	return prepared{p: p, res: res, latency: latency, ok: true, buf: buf}
 }
@@ -927,7 +927,7 @@ func (b *Bus) complete(now uint64) {
 	b.mRetries.Observe(uint64(p.txn.retries))
 	b.stats.Completed++
 	if b.log.Enabled() {
-		b.log.Addf(now, "bus", "done  %s %s 0x%08x", b.masters[p.txn.Master].name, p.txn.Kind, p.txn.Addr)
+		b.log.Addf("bus", "done  %s %s 0x%08x", b.masters[p.txn.Master].name, p.txn.Kind, p.txn.Addr)
 	}
 	// Emitted before the completion callbacks so a subscriber sees the
 	// master's queue state settle before any synchronous resubmission (e.g.

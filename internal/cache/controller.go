@@ -8,7 +8,6 @@ import (
 	"hetcc/internal/event"
 	"hetcc/internal/metrics"
 	"hetcc/internal/profile"
-	"hetcc/internal/trace"
 )
 
 // Policy is the wrapper hook: it intercepts what the snooping cache
@@ -63,7 +62,6 @@ type Controller struct {
 	bus      *bus.Bus
 	masterID int
 	policy   Policy
-	log      *trace.Log
 
 	// snoops reports whether this controller's snoop port is wired to the
 	// bus.  The ARM920T's is not ("no cache coherence is supported"): its
@@ -135,7 +133,7 @@ type Controller struct {
 // bus master.  If snoops is true the controller is attached to the snoop
 // network (PF3-style processors); pass false for coherence-less processors
 // whose snooping is performed by external snoop logic.
-func NewController(name string, c *Cache, b *bus.Bus, policy Policy, snoops bool, log *trace.Log) *Controller {
+func NewController(name string, c *Cache, b *bus.Bus, policy Policy, snoops bool) *Controller {
 	if policy == nil {
 		policy = Passthrough{}
 	}
@@ -145,7 +143,6 @@ func NewController(name string, c *Cache, b *bus.Bus, policy Policy, snoops bool
 		bus:       b,
 		masterID:  b.AddMaster(name),
 		policy:    policy,
-		log:       log,
 		snoops:    snoops,
 		pendingWB: make(map[uint32]struct{}),
 	}

@@ -27,7 +27,7 @@ func newRig(t *testing.T, kinds ...coherence.Kind) *rig {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r.ctl = append(r.ctl, NewController(names[i], arr, b, nil, true, nil))
+		r.ctl = append(r.ctl, NewController(names[i], arr, b, nil, true))
 	}
 	return r
 }

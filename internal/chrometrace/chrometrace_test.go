@@ -79,10 +79,16 @@ func TestFromTenures(t *testing.T) {
 }
 
 func TestFromLog(t *testing.T) {
-	l := trace.NewLog(0)
-	l.Addf(200, "bus", "grant m0")
-	l.Addf(250, "cache0", "fill 0x100")
-	l.Addf(300, "bus", "done")
+	var now uint64
+	l := trace.NewLog(0, func() uint64 { return now })
+	for _, e := range []trace.Event{
+		{Cycle: 200, Unit: "bus", Msg: "grant m0"},
+		{Cycle: 250, Unit: "cache0", Msg: "fill 0x100"},
+		{Cycle: 300, Unit: "bus", Msg: "done"},
+	} {
+		now = e.Cycle
+		l.Addf(e.Unit, "%s", e.Msg)
+	}
 	events := FromLog(l)
 	requireKeys(t, events)
 
@@ -110,9 +116,11 @@ func TestFromLog(t *testing.T) {
 // TestFromLogReportsDropped checks a bounded log surfaces the ring's dropped
 // count as an extra marker.
 func TestFromLogReportsDropped(t *testing.T) {
-	l := trace.NewLog(2)
+	var now uint64
+	l := trace.NewLog(2, func() uint64 { return now })
 	for i := 0; i < 5; i++ {
-		l.Addf(uint64(100*i), "bus", "e%d", i)
+		now = uint64(100 * i)
+		l.Addf("bus", "e%d", i)
 	}
 	events := FromLog(l)
 	requireKeys(t, events)

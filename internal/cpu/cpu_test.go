@@ -47,7 +47,7 @@ func newBench(t *testing.T, cfgs []Config, snoopless []bool, locks *lock.Manager
 			t.Fatal(err)
 		}
 		ext := snoopless != nil && snoopless[i]
-		ctl := cache.NewController(cfg.Name, arr, bn.bus, nil, !ext, nil)
+		ctl := cache.NewController(cfg.Name, arr, bn.bus, nil, !ext)
 		var sl *snooplogic.SnoopLogic
 		if ext {
 			sl = snooplogic.New(cfg.Name+"-snoop", bn.bus, ctl.MasterID(), 32, nil, nil)

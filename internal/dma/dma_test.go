@@ -32,7 +32,7 @@ func newBench(t *testing.T) *bench {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctl := cache.NewController("cpu", arr, b, nil, true, nil)
+	ctl := cache.NewController("cpu", arr, b, nil, true)
 	eng := New(dmaBase, 32, b)
 	b.AddDevice(eng)
 	return &bench{t: t, bus: b, mem: mem, eng: eng, ctl: ctl}

@@ -7,7 +7,8 @@
 // and recording into a nil instrument is a no-op costing one branch.  Hot
 // paths therefore keep an instrument pointer obtained once at construction
 // and record unconditionally; when metrics are disabled the whole layer
-// collapses to predictable-taken nil checks (see BenchmarkMetricsDisabled).
+// collapses to predictable-taken nil checks (BenchmarkObserverCost prices
+// the enabled layer against a run without it).
 //
 // The registry is not safe for concurrent use — the simulation kernel is
 // single-threaded by design (DESIGN.md invariant 7), and so is the

@@ -122,11 +122,6 @@ func Build(cfg Config) (*Platform, error) {
 		}
 	}
 
-	var log *trace.Log
-	if cfg.TraceCap > 0 {
-		log = trace.NewLog(cfg.TraceCap)
-	}
-
 	protocols := make([]coherence.Kind, len(cfg.Processors))
 	for i, s := range cfg.Processors {
 		protocols[i] = s.Protocol
@@ -137,6 +132,10 @@ func Build(cfg Config) (*Platform, error) {
 	}
 
 	engine := sim.NewEngine()
+	var log *trace.Log
+	if cfg.TraceCap > 0 {
+		log = trace.NewLog(cfg.TraceCap, engine.Now)
+	}
 	mem := memory.New()
 	b := bus.New(bus.Config{Timing: cfg.Timing, DeadlockThreshold: cfg.DeadlockThreshold, Pipelined: cfg.PipelinedBus}, mem, log)
 
@@ -306,7 +305,7 @@ func Build(cfg Config) (*Platform, error) {
 			}
 		}
 		snoops := hwCoherence && spec.Protocol != coherence.None
-		ctl := cache.NewController(spec.Model, arr, b, policy, snoops, log)
+		ctl := cache.NewController(spec.Model, arr, b, policy, snoops)
 		ctl.SetMetrics(p.Metrics)
 		ctl.SetEvents(p.events)
 		if p.profiler != nil {

@@ -1,6 +1,7 @@
 package platform_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -931,6 +932,66 @@ func TestKitchenSinkCompose(t *testing.T) {
 	}
 	if wave.Len() == 0 || p.Log.Len() == 0 {
 		t.Fatal("instrumentation produced nothing")
+	}
+}
+
+// TestSnoopLogicTraceStamps: the snoop logic's trace lines carry the engine
+// cycle they happen at, like the bus's, so each "snoop hit" sits at the cycle
+// of the ARTRY it causes for that line, under both schedulers.
+func TestSnoopLogicTraceStamps(t *testing.T) {
+	for _, sched := range []string{SchedulerEvent, SchedulerTick} {
+		p, err := Build(Config{
+			Processors: PPCARm(),
+			Solution:   Proposed,
+			Lock:       LockChoice{Kind: LockUncachedTAS, Alternate: true, SpinDelay: 4},
+			TraceCap:   100_000,
+			Scheduler:  sched,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		progs, err := workload.Programs(workload.WCS, workload.Params{Lines: 8, ExecTime: 1}, Proposed, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.LoadPrograms(progs); err != nil {
+			t.Fatal(err)
+		}
+		if res := p.Run(10_000_000); res.Err != nil {
+			t.Fatalf("%s: %v (%s)", sched, res.Err, res.StopReason)
+		}
+		events, dropped := p.Log.Events()
+		if dropped != 0 {
+			t.Fatalf("%s: trace dropped %d events", sched, dropped)
+		}
+		hits := 0
+		for i, e := range events {
+			if !strings.HasSuffix(e.Unit, "-snoop") {
+				continue
+			}
+			if e.Cycle == 0 {
+				t.Fatalf("%s: snoop-logic line stamped cycle 0: %v", sched, e)
+			}
+			var addr uint32
+			if _, err := fmt.Sscanf(e.Msg, "snoop hit 0x%x", &addr); err != nil {
+				continue
+			}
+			hits++
+			line := fmt.Sprintf(" 0x%08x (retry ", addr)
+			j := i + 1
+			for j < len(events) && !(events[j].Unit == "bus" && strings.HasPrefix(events[j].Msg, "ARTRY ") && strings.Contains(events[j].Msg, line)) {
+				j++
+			}
+			if j == len(events) {
+				t.Fatalf("%s: %v is followed by no ARTRY for its line", sched, e)
+			}
+			if events[j].Cycle != e.Cycle {
+				t.Fatalf("%s: %v stamped apart from the ARTRY it causes: %v", sched, e, events[j])
+			}
+		}
+		if hits == 0 {
+			t.Fatalf("%s: no snoop hit traced", sched)
+		}
 	}
 }
 

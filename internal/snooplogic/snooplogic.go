@@ -147,7 +147,7 @@ func (sl *SnoopLogic) SnoopBus(t *bus.Transaction) bus.SnoopReply {
 	sl.hitCycle[base] = sl.bus.Cycle()
 	sl.retried[base] = t.Master
 	if sl.log.Enabled() {
-		sl.log.Addf(0, sl.name, "snoop hit 0x%08x -> nFIQ", base)
+		sl.log.Addf(sl.name, "snoop hit 0x%08x -> nFIQ", base)
 	}
 	if sl.fiq != nil {
 		sl.fiq.RaiseFIQ(base)
@@ -240,7 +240,7 @@ func (sl *SnoopLogic) Complete(lineBase uint32, wasResident bool) {
 		sl.stats.SpuriousHits++
 	}
 	if sl.log.Enabled() {
-		sl.log.Addf(0, sl.name, "ISR complete 0x%08x (resident=%v)", base, wasResident)
+		sl.log.Addf(sl.name, "ISR complete 0x%08x (resident=%v)", base, wasResident)
 	}
 }
 

@@ -30,6 +30,7 @@ func (e Event) String() string {
 // the oldest slot in place (head index + wraparound), so steady-state
 // appends are O(1) regardless of the bound.
 type Log struct {
+	now     func() uint64
 	events  []Event
 	max     int
 	head    int // index of the oldest retained event once the ring is full
@@ -37,20 +38,22 @@ type Log struct {
 }
 
 // NewLog returns a log retaining at most max events (max <= 0 means an
-// unbounded log).
-func NewLog(max int) *Log {
-	return &Log{max: max}
+// unbounded log), stamping each with the now clock (typically the simulation
+// engine's Now).
+func NewLog(max int, now func() uint64) *Log {
+	return &Log{now: now, max: max}
 }
 
 // Enabled reports whether the log records events (false for nil).
 func (l *Log) Enabled() bool { return l != nil }
 
-// Addf records a formatted event.  Safe to call on a nil log.
-func (l *Log) Addf(cycle uint64, unit, format string, args ...any) {
+// Addf records a formatted event at the clock's current cycle.  Safe to call
+// on a nil log.
+func (l *Log) Addf(unit, format string, args ...any) {
 	if l == nil {
 		return
 	}
-	e := Event{Cycle: cycle, Unit: unit, Msg: fmt.Sprintf(format, args...)}
+	e := Event{Cycle: l.now(), Unit: unit, Msg: fmt.Sprintf(format, args...)}
 	if l.max <= 0 || len(l.events) < l.max {
 		l.events = append(l.events, e)
 		return

