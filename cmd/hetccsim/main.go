@@ -303,6 +303,7 @@ func main() {
 		p.Log.WriteTo(os.Stdout)
 	}
 	if *vcdPath != "" {
+		fatalIf(p.VCDErr())
 		fmt.Printf("\nwaveform dump written to %s\n", *vcdPath)
 	}
 	if *reportPath != "" {

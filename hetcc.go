@@ -176,7 +176,8 @@ func Build(cfg Config) (*platform.Platform, error) {
 	return p, nil
 }
 
-// Run builds and simulates cfg to completion.
+// Run builds and simulates cfg to completion.  A failed waveform dump
+// (Config.VCD) is returned as the error beside the run's result.
 func Run(cfg Config) (Result, error) {
 	p, err := Build(cfg)
 	if err != nil {
@@ -187,7 +188,7 @@ func Run(cfg Config) (Result, error) {
 		maxCycles = 50_000_000
 	}
 	res := p.Run(maxCycles)
-	return Result{Result: res, EngineCyclesPerBusCycle: 2}, nil
+	return Result{Result: res, EngineCyclesPerBusCycle: 2}, p.VCDErr()
 }
 
 // MustRun is Run for tests and examples where configuration errors are

@@ -6,7 +6,8 @@
 //     (Exclusive or Modified) has no other valid copy anywhere.
 //   - Single dirty owner: at most one Modified/Owned copy of a line exists.
 //   - Data-value invariant: a program read of a shared word returns the
-//     value of the last program write (fed by CPU load/store hooks).
+//     value of the last program write (reported by the platform's golden
+//     model through StaleRead).
 //   - Wrapper-reduction invariants: every state a core's cache reaches is in
 //     the post-reduction allowed set computed by core.AllowedStates — no
 //     Shared copies under force-deassert, no Exclusive under force-assert,
@@ -44,9 +45,6 @@ type Config struct {
 	// always legal and need not be listed).  A nil entry disables the
 	// reduction-invariant check for that core.
 	Allowed [][]coherence.State
-	// Shared filters the addresses subject to the data-value check (nil
-	// checks every address).
-	Shared func(addr uint32) bool
 	// MaxViolations bounds the retained violation records (default 64); the
 	// total count keeps incrementing past the cap.
 	MaxViolations int
@@ -103,15 +101,14 @@ type lineState struct {
 	transitions uint64
 }
 
-// Auditor consumes the event stream and CPU access hooks and checks the
-// invariants described in the package comment.  It is not safe for
+// Auditor consumes the event stream and the golden model's stale-read
+// reports and checks the invariants described in the package comment.  It is not safe for
 // concurrent use (the simulation kernel is single-threaded).
 type Auditor struct {
 	cfg        Config
 	allowed    []map[coherence.State]bool
 	observed   []map[coherence.State]bool
 	lines      map[uint32]*lineState
-	expected   map[uint32]uint32
 	violations []Violation
 	total      uint64
 	trans      uint64
@@ -131,7 +128,6 @@ func New(cfg Config) *Auditor {
 		allowed:  make([]map[coherence.State]bool, cfg.Cores),
 		observed: make([]map[coherence.State]bool, cfg.Cores),
 		lines:    make(map[uint32]*lineState),
-		expected: make(map[uint32]uint32),
 	}
 	for i := 0; i < cfg.Cores; i++ {
 		a.observed[i] = map[coherence.State]bool{coherence.Invalid: true}
@@ -212,27 +208,10 @@ func (a *Auditor) checkLine(cycle uint64, addr uint32, ls *lineState) {
 	}
 }
 
-// OnStore feeds the data-value check; it has the cpu.Hooks signature so it
-// can be chained with the golden-model checker.
-func (a *Auditor) OnStore(core int, addr, val uint32, now uint64) {
-	if a.inShared(addr) {
-		a.expected[addr] = val
-	}
-}
-
-// OnLoad checks a program read against the last program write (zero for a
-// never-written word, matching zeroed memory).
-func (a *Auditor) OnLoad(core int, addr, val uint32, now uint64) {
-	if !a.inShared(addr) {
-		return
-	}
-	if want := a.expected[addr]; want != val {
-		a.violate(now, CheckStaleRead, core, addr, fmt.Sprintf("read %d, want %d", val, want))
-	}
-}
-
-func (a *Auditor) inShared(addr uint32) bool {
-	return a.cfg.Shared == nil || a.cfg.Shared(addr)
+// StaleRead records a data-value breach: core's program read of addr at
+// cycle now returned got where the last program write stored want.
+func (a *Auditor) StaleRead(core int, addr, got, want uint32, now uint64) {
+	a.violate(now, CheckStaleRead, core, addr, fmt.Sprintf("read %d, want %d", got, want))
 }
 
 func (a *Auditor) violate(cycle uint64, check string, core int, addr uint32, detail string) {

@@ -95,28 +95,6 @@ func TestIllegalStateAgainstReduction(t *testing.T) {
 	}
 }
 
-func TestStaleReadCheck(t *testing.T) {
-	shared := func(addr uint32) bool { return addr >= 0x2000_0000 }
-	a := New(Config{Cores: 2, Shared: shared})
-	a.OnStore(0, line0, 7, 10)
-	a.OnLoad(1, line0, 7, 11)
-	a.OnLoad(1, line0+4, 0, 12) // never written: zeroed memory
-	if a.ViolationCount() != 0 {
-		t.Fatalf("coherent reads flagged: %v", a.Violations())
-	}
-	a.OnLoad(1, line0, 3, 13)
-	vs := a.Violations()
-	if len(vs) != 1 || vs[0].Check != CheckStaleRead || vs[0].Cycle != 13 {
-		t.Fatalf("violations %v, want one stale-read at cycle 13", vs)
-	}
-	// Private addresses are outside the check.
-	a.OnStore(0, 0x1000, 9, 14)
-	a.OnLoad(1, 0x1000, 1, 15)
-	if a.ViolationCount() != 1 {
-		t.Fatalf("private access audited: %v", a.Violations())
-	}
-}
-
 func TestViolationCapKeepsCounting(t *testing.T) {
 	a := New(Config{Cores: 2, MaxViolations: 3})
 	for i := 0; i < 10; i++ {

@@ -23,7 +23,7 @@ func (s nopSnooper) SnoopBus(*Transaction) SnoopReply { return s.reply }
 // callback is allocation-free once the fill pool is warm.
 func TestAllocsBusTickSteadyState(t *testing.T) {
 	mem := memory.New()
-	bs := New(Config{Timing: memory.DefaultTiming()}, mem, nil)
+	bs := New(Config{Timing: memory.DefaultTiming()}, mem)
 	m := bs.AddMaster("m")
 	var cycle uint64
 	txn := Transaction{Master: m, Kind: ReadLine, Addr: 0x400, Words: 8}
@@ -52,7 +52,7 @@ func TestAllocsARtryStorm(t *testing.T) {
 		Timing:            memory.DefaultTiming(),
 		RetryBackoff:      1,
 		DeadlockThreshold: 1 << 30, // the storm is the point; never trip livelock detection
-	}, mem, nil)
+	}, mem)
 	m0 := bs.AddMaster("m0")
 	m1 := bs.AddMaster("m1")
 	bs.AddSnooper(m1, nopSnooper{reply: SnoopReply{Retry: true}})
@@ -83,7 +83,7 @@ func TestAllocsARtryStorm(t *testing.T) {
 // are precomputed flat slices, not rebuilt per address phase.
 func TestAllocsSnoopBroadcast(t *testing.T) {
 	mem := memory.New()
-	bs := New(Config{Timing: memory.DefaultTiming()}, mem, nil)
+	bs := New(Config{Timing: memory.DefaultTiming()}, mem)
 	m0 := bs.AddMaster("m0")
 	for i := 0; i < 3; i++ {
 		bs.AddSnooper(bs.AddMaster("snooped"), nopSnooper{})

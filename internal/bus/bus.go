@@ -28,9 +28,7 @@ import (
 	"hetcc/internal/coherence"
 	"hetcc/internal/event"
 	"hetcc/internal/memory"
-	"hetcc/internal/metrics"
 	"hetcc/internal/sim"
-	"hetcc/internal/trace"
 )
 
 // Kind enumerates bus transaction kinds.
@@ -126,7 +124,7 @@ type Transaction struct {
 
 	retries int
 	// submitCycle is the bus cycle at which the transaction entered its
-	// master's queue (grant-wait metric).
+	// master's queue (the grant wait on its BusGrant record).
 	submitCycle uint64
 	// id is the bus-assigned monotonically increasing transaction id,
 	// stamped at Submit/SubmitFlush.  Masters reuse Transaction structs, so
@@ -280,7 +278,6 @@ type Bus struct {
 	fanoutStale bool
 	devices     []Device
 	obs         []Observer
-	log         *trace.Log
 
 	// tenure state
 	busy      bool
@@ -304,7 +301,7 @@ type Bus struct {
 
 	consecutiveAborts int
 	deadlock          bool
-	onDeadlock        func()
+	onDeadlock        func(consecutiveAborts, retries int)
 
 	cycle uint64 // bus cycles elapsed
 	next  *prepared
@@ -318,12 +315,8 @@ type Bus struct {
 	curRetries int
 	onTenure   func(Tenure)
 
-	// nil-safe metric instruments (see SetMetrics)
-	mGrantWait *metrics.Histogram
-	mTenure    *metrics.Histogram
-	mRetries   *metrics.Histogram
-
-	// nil-safe coherence event sink (see SetEvents)
+	// nil-safe coherence event sink (see SetEvents): the bus's only
+	// instrumentation output besides the OnTenure/OnDeadlock hooks
 	events *event.Sink
 
 	// event-scheduler binding (see BindScheduler): sched wakes the bus when
@@ -350,7 +343,7 @@ type Tenure struct {
 }
 
 // New creates a bus backed by mem with the given configuration.
-func New(cfg Config, mem *memory.Memory, log *trace.Log) *Bus {
+func New(cfg Config, mem *memory.Memory) *Bus {
 	if cfg.DeadlockThreshold <= 0 {
 		cfg.DeadlockThreshold = 512
 	}
@@ -366,7 +359,6 @@ func New(cfg Config, mem *memory.Memory, log *trace.Log) *Bus {
 	return &Bus{
 		cfg:           cfg,
 		mem:           mem,
-		log:           log,
 		preferredNext: -1,
 	}
 }
@@ -429,8 +421,10 @@ func (b *Bus) AddDevice(d Device) { b.devices = append(b.devices, d) }
 // AddObserver registers a completion observer.
 func (b *Bus) AddObserver(o Observer) { b.obs = append(b.obs, o) }
 
-// OnDeadlock installs a hook invoked once when livelock is detected.
-func (b *Bus) OnDeadlock(f func()) { b.onDeadlock = f }
+// OnDeadlock installs a hook invoked once when livelock is detected, with
+// the run of consecutive aborted tenures and the retry count of the
+// transaction that tripped the detector.
+func (b *Bus) OnDeadlock(f func(consecutiveAborts, retries int)) { b.onDeadlock = f }
 
 // Deadlocked reports whether the livelock detector has fired.
 func (b *Bus) Deadlocked() bool { return b.deadlock }
@@ -553,15 +547,6 @@ func (b *Bus) wakeSched() {
 	if b.sched != nil {
 		b.sched.Wake(b.sched.Now())
 	}
-}
-
-// SetMetrics attaches the bus to a metrics registry.  A nil registry (or
-// never calling SetMetrics) leaves the instruments nil, and recording into
-// them is a no-op.
-func (b *Bus) SetMetrics(r *metrics.Registry) {
-	b.mGrantWait = r.Histogram("bus.grant.wait.buscycles")
-	b.mTenure = r.Histogram("bus.tenure.enginecycles")
-	b.mRetries = r.Histogram("bus.retries.per.txn")
 }
 
 // SetEvents attaches the bus to a coherence event sink.  A nil sink (or
@@ -787,9 +772,6 @@ func (b *Bus) prepare(now uint64, id int) prepared {
 		b.curRetries = t.retries
 		b.stats.Aborted++
 		b.consecutiveAborts++
-		if b.log.Enabled() {
-			b.log.Addf("bus", "ARTRY %s %s 0x%08x (retry %d)", m.name, t.Kind, t.Addr, t.retries)
-		}
 		b.curAbort = true
 		b.events.Retry(t.Master, uint8(t.Kind), t.Addr, t.retries, drain, t.id)
 		m.queue.pushFront(p)
@@ -801,18 +783,13 @@ func (b *Bus) prepare(now uint64, id int) prepared {
 		// ISR).  Either way the system has lost forward progress.
 		if (b.consecutiveAborts >= b.cfg.DeadlockThreshold || t.retries >= b.cfg.DeadlockThreshold) && !b.deadlock {
 			b.deadlock = true
-			if b.log.Enabled() {
-				b.log.Addf("bus", "hardware deadlock detected (consecutive aborts %d, transaction retries %d)", b.consecutiveAborts, t.retries)
-			}
 			if b.onDeadlock != nil {
-				b.onDeadlock()
+				b.onDeadlock(b.consecutiveAborts, t.retries)
 			}
 		}
 		return prepared{}
 	}
 	b.consecutiveAborts = 0
-	b.mGrantWait.Observe(b.cycle - t.submitCycle)
-	b.events.BusGrant(t.Master, uint8(t.Kind), t.Addr, shared, t.id)
 
 	// Data phase.
 	res := Result{Shared: shared}
@@ -849,9 +826,9 @@ func (b *Bus) prepare(now uint64, id int) prepared {
 	}
 
 	latency += m.latency // wrapper protocol-conversion cost
-	if b.log.Enabled() {
-		b.log.Addf("bus", "grant %s %s 0x%08x shared=%v lat=%d", m.name, t.Kind, t.Addr, shared, latency)
-	}
+	// Emitted once the latency is known; no device emits during its access,
+	// so the record keeps its place in the stream.
+	b.events.BusGrant(t.Master, uint8(t.Kind), t.Addr, shared, t.id, b.cycle-t.submitCycle, uint64(latency))
 	return prepared{p: p, res: res, latency: latency, ok: true, buf: buf}
 }
 
@@ -923,16 +900,11 @@ func (b *Bus) complete(now uint64) {
 	if p.txn == nil {
 		return // aborted tenure
 	}
-	b.mTenure.Observe(now - b.curStart)
-	b.mRetries.Observe(uint64(p.txn.retries))
 	b.stats.Completed++
-	if b.log.Enabled() {
-		b.log.Addf("bus", "done  %s %s 0x%08x", b.masters[p.txn.Master].name, p.txn.Kind, p.txn.Addr)
-	}
 	// Emitted before the completion callbacks so a subscriber sees the
 	// master's queue state settle before any synchronous resubmission (e.g.
 	// an upgrade falling back to a fill).
-	b.events.BusComplete(p.txn.Master, uint8(p.txn.Kind), p.txn.Addr, p.txn.id)
+	b.events.BusComplete(p.txn.Master, uint8(p.txn.Kind), p.txn.Addr, p.txn.id, now-b.curStart, p.txn.retries)
 	for _, o := range b.obs {
 		o(p.txn, res)
 	}

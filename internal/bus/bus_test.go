@@ -10,7 +10,7 @@ import (
 func newTestBus(t *testing.T) (*Bus, *memory.Memory) {
 	t.Helper()
 	mem := memory.New()
-	b := New(Config{Timing: memory.DefaultTiming()}, mem, nil)
+	b := New(Config{Timing: memory.DefaultTiming()}, mem)
 	return b, mem
 }
 
@@ -273,12 +273,12 @@ func TestObserverSeesCompletions(t *testing.T) {
 
 func TestDeadlockDetectorConsecutiveAborts(t *testing.T) {
 	mem := memory.New()
-	b := New(Config{Timing: memory.DefaultTiming(), DeadlockThreshold: 16, RetryBackoff: 1}, mem, nil)
+	b := New(Config{Timing: memory.DefaultTiming(), DeadlockThreshold: 16, RetryBackoff: 1}, mem)
 	m0 := b.AddMaster("m0")
 	m1 := b.AddMaster("m1")
 	b.AddSnooper(m1, &fakeSnooper{reply: SnoopReply{Retry: true}})
 	fired := false
-	b.OnDeadlock(func() { fired = true })
+	b.OnDeadlock(func(int, int) { fired = true })
 	b.Submit(&Transaction{Master: m0, Kind: ReadLine, Addr: 0x40, Words: 8}, nil)
 	for i := 0; i < 1000 && !fired; i++ {
 		b.Tick(uint64(i))
@@ -290,7 +290,7 @@ func TestDeadlockDetectorConsecutiveAborts(t *testing.T) {
 
 func TestRetryBackoffDelaysReissue(t *testing.T) {
 	mem := memory.New()
-	b := New(Config{Timing: memory.DefaultTiming(), RetryBackoff: 8, DeadlockThreshold: 1 << 20}, mem, nil)
+	b := New(Config{Timing: memory.DefaultTiming(), RetryBackoff: 8, DeadlockThreshold: 1 << 20}, mem)
 	m0 := b.AddMaster("m0")
 	m1 := b.AddMaster("m1")
 	b.AddSnooper(m1, &fakeSnooper{reply: SnoopReply{Retry: true}})
@@ -395,7 +395,7 @@ func TestKindHelpers(t *testing.T) {
 func TestPipelinedOverlapSavesCycles(t *testing.T) {
 	run := func(pipelined bool) (uint64, Stats) {
 		mem := memory.New()
-		b := New(Config{Timing: memory.DefaultTiming(), Pipelined: pipelined}, mem, nil)
+		b := New(Config{Timing: memory.DefaultTiming(), Pipelined: pipelined}, mem)
 		m0 := b.AddMaster("m0")
 		m1 := b.AddMaster("m1")
 		done := 0
@@ -422,7 +422,7 @@ func TestPipelinedOverlapSavesCycles(t *testing.T) {
 
 func TestPipelinedSameLineNotOverlapped(t *testing.T) {
 	mem := memory.New()
-	b := New(Config{Timing: memory.DefaultTiming(), Pipelined: true}, mem, nil)
+	b := New(Config{Timing: memory.DefaultTiming(), Pipelined: true}, mem)
 	m0 := b.AddMaster("m0")
 	m1 := b.AddMaster("m1")
 	var order []int
@@ -455,7 +455,7 @@ func TestPipelinedSameLineNotOverlapped(t *testing.T) {
 
 func TestPipelinedKeepsPerMasterOrder(t *testing.T) {
 	mem := memory.New()
-	b := New(Config{Timing: memory.DefaultTiming(), Pipelined: true}, mem, nil)
+	b := New(Config{Timing: memory.DefaultTiming(), Pipelined: true}, mem)
 	m0 := b.AddMaster("m0")
 	var order []int
 	for i := 0; i < 5; i++ {
@@ -473,7 +473,7 @@ func TestPipelinedKeepsPerMasterOrder(t *testing.T) {
 func TestMasterLatencyCharged(t *testing.T) {
 	timeIt := func(lat int) int {
 		mem := memory.New()
-		b := New(Config{Timing: memory.DefaultTiming()}, mem, nil)
+		b := New(Config{Timing: memory.DefaultTiming()}, mem)
 		m := b.AddMaster("m")
 		b.SetMasterLatency(m, lat)
 		done := -1

@@ -37,7 +37,7 @@ func benchRoundTrip(b *testing.B, bs *Bus, txn *Transaction) {
 
 // BenchmarkHotLoopBusTick: one master, line fill from memory, no snoopers.
 func BenchmarkHotLoopBusTick(b *testing.B) {
-	bs := New(Config{Timing: memory.DefaultTiming()}, memory.New(), nil)
+	bs := New(Config{Timing: memory.DefaultTiming()}, memory.New())
 	m := bs.AddMaster("m")
 	benchRoundTrip(b, bs, &Transaction{Master: m, Kind: ReadLine, Addr: 0x400, Words: 8})
 }
@@ -45,7 +45,7 @@ func BenchmarkHotLoopBusTick(b *testing.B) {
 // BenchmarkHotLoopSnoopFanout: same fill, broadcast to three snoopers via
 // the precomputed per-master fan-out.
 func BenchmarkHotLoopSnoopFanout(b *testing.B) {
-	bs := New(Config{Timing: memory.DefaultTiming()}, memory.New(), nil)
+	bs := New(Config{Timing: memory.DefaultTiming()}, memory.New())
 	m := bs.AddMaster("m")
 	for i := 0; i < 3; i++ {
 		bs.AddSnooper(bs.AddMaster("snooped"), nopSnooper{})

@@ -20,7 +20,7 @@ type rig struct {
 func newRig(t *testing.T, kinds ...coherence.Kind) *rig {
 	t.Helper()
 	mem := memory.New()
-	b := bus.New(bus.Config{Timing: memory.DefaultTiming()}, mem, nil)
+	b := bus.New(bus.Config{Timing: memory.DefaultTiming()}, mem)
 	r := &rig{t: t, bus: b, mem: mem}
 	for i, k := range kinds {
 		arr, err := New(Config{SizeBytes: 1024, Ways: 2, LineBytes: 32}, coherence.New(k))

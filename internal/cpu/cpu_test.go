@@ -40,7 +40,7 @@ type bench struct {
 func newBench(t *testing.T, cfgs []Config, snoopless []bool, locks *lock.Manager) *bench {
 	t.Helper()
 	bn := &bench{t: t, eng: sim.NewEngine(), mem: memory.New()}
-	bn.bus = bus.New(bus.Config{Timing: memory.DefaultTiming()}, bn.mem, nil)
+	bn.bus = bus.New(bus.Config{Timing: memory.DefaultTiming()}, bn.mem)
 	for i, cfg := range cfgs {
 		arr, err := cache.New(cache.Config{SizeBytes: 1024, Ways: 2, LineBytes: 32}, coherence.New(coherence.MESI))
 		if err != nil {
@@ -50,7 +50,7 @@ func newBench(t *testing.T, cfgs []Config, snoopless []bool, locks *lock.Manager
 		ctl := cache.NewController(cfg.Name, arr, bn.bus, nil, !ext)
 		var sl *snooplogic.SnoopLogic
 		if ext {
-			sl = snooplogic.New(cfg.Name+"-snoop", bn.bus, ctl.MasterID(), 32, nil, nil)
+			sl = snooplogic.New(bn.bus, ctl.MasterID(), 32, nil)
 		}
 		c := New(cfg, i, ctl, attrAll, locks, sl)
 		if sl != nil {

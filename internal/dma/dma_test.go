@@ -27,7 +27,7 @@ type bench struct {
 func newBench(t *testing.T) *bench {
 	t.Helper()
 	mem := memory.New()
-	b := bus.New(bus.Config{Timing: memory.DefaultTiming()}, mem, nil)
+	b := bus.New(bus.Config{Timing: memory.DefaultTiming()}, mem)
 	arr, err := cache.New(cache.Config{SizeBytes: 1024, Ways: 2, LineBytes: 32}, coherence.New(coherence.MESI))
 	if err != nil {
 		t.Fatal(err)

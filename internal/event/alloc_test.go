@@ -12,10 +12,10 @@ func TestAllocsEmitDisabled(t *testing.T) {
 	var s *Sink
 	n := testing.AllocsPerRun(1000, func() {
 		s.BusRequest(1, 0, 0x40, 1)
-		s.BusGrant(1, 0, 0x40, true, 1)
+		s.BusGrant(1, 0, 0x40, true, 1, 0, 0)
 		s.Retry(1, 0, 0x40, 3, false, 1)
 		s.Drain(1, 0x40, 1)
-		s.BusComplete(1, 0, 0x40, 1)
+		s.BusComplete(1, 0, 0x40, 1, 0, 0)
 	})
 	if n != 0 {
 		t.Fatalf("disabled-sink emits allocate %.1f/op, want 0", n)
@@ -30,9 +30,9 @@ func TestAllocsEmitEnabled(t *testing.T) {
 	s.Subscribe(func(r *Record) { total += uint64(r.Addr) })
 	emit := func() {
 		s.BusRequest(1, 0, 0x40, 1)
-		s.BusGrant(1, 0, 0x40, true, 1)
+		s.BusGrant(1, 0, 0x40, true, 1, 0, 0)
 		s.Retry(1, 0, 0x40, 3, true, 1)
-		s.BusComplete(1, 0, 0x40, 1)
+		s.BusComplete(1, 0, 0x40, 1, 0, 0)
 	}
 	emit() // warm-up
 	if n := testing.AllocsPerRun(1000, emit); n != 0 {
@@ -52,10 +52,10 @@ func TestAllocsJSONLWriter(t *testing.T) {
 	s.Subscribe(jw.Handle)
 	emit := func() {
 		s.BusRequest(1, 0, 0x2000_0040, 12)
-		s.BusGrant(1, 0, 0x2000_0040, true, 12)
+		s.BusGrant(1, 0, 0x2000_0040, true, 12, 0, 0)
 		s.Retry(1, 0, 0x2000_0040, 3, true, 12)
 		s.Drain(1, 0x2000_0040, 11)
-		s.BusComplete(1, 0, 0x2000_0040, 12)
+		s.BusComplete(1, 0, 0x2000_0040, 12, 0, 0)
 	}
 	emit() // warm-up: first rows may grow the buffer
 	if n := testing.AllocsPerRun(1000, emit); n != 0 {
@@ -76,7 +76,7 @@ func BenchmarkJSONLWriter(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s.BusRequest(1, 0, 0x2000_0040, uint64(i+1))
 		s.Retry(1, 0, 0x2000_0040, 2, true, uint64(i+1))
-		s.BusComplete(1, 0, 0x2000_0040, uint64(i+1))
+		s.BusComplete(1, 0, 0x2000_0040, uint64(i+1), 0, 0)
 	}
 }
 

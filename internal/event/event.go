@@ -131,12 +131,25 @@ type Record struct {
 	SharedIn, SharedOut bool
 	// Txn is the bus-assigned transaction id for
 	// BusRequest/BusGrant/Retry/BusComplete, and for Drain the id of the
-	// write-back transaction that drained the line (0 when unknown, e.g. a
-	// snoop-logic drain notification with no bus transfer of its own).  Ids
+	// write-back transaction that drained the line (0 for the snoop logic's
+	// ISR completion, which has no bus transfer of its own).  Ids
 	// are monotonically increasing from 1 in submission order, so the span
 	// collector (package span) can correlate lifecycle events without the
 	// bus depending on it.
 	Txn uint64
+	// Wait is a duration the producer measured, in bus cycles: on BusGrant
+	// the wait from submission to grant; on a snoop-logic Drain the time
+	// from the snoop hit (or CAM-overflow flush) to ISR completion.
+	Wait uint64
+	// Latency is a length the producer measured: on BusGrant the data-phase
+	// latency in bus cycles (wrapper conversion cost included); on
+	// BusComplete the tenure in engine cycles, from grant (or pipelined
+	// promotion) to completion.  BusComplete also carries the completed
+	// transaction's retry count in Retries.
+	Latency uint64
+	// Resident qualifies a snoop-logic Drain: the ISR found the line in the
+	// cache (false: a spurious hit on a stale TAG-CAM entry).
+	Resident bool
 }
 
 // Handler receives records synchronously as they are emitted.  The pointed-to
@@ -226,12 +239,14 @@ func (s *Sink) BusRequest(core int, busKind uint8, addr uint32, txn uint64) {
 }
 
 // BusGrant records a tenure surviving its address phase; shared is the
-// combined shared-signal sample.
-func (s *Sink) BusGrant(core int, busKind uint8, addr uint32, shared bool, txn uint64) {
+// combined shared-signal sample, wait the bus cycles since submission and
+// latency the data phase's length in bus cycles.
+func (s *Sink) BusGrant(core int, busKind uint8, addr uint32, shared bool, txn, wait, latency uint64) {
 	if s == nil {
 		return
 	}
-	s.emit(Record{Kind: BusGrant, Core: core, Addr: addr, BusKind: busKind, SharedOut: shared, Txn: txn})
+	s.emit(Record{Kind: BusGrant, Core: core, Addr: addr, BusKind: busKind, SharedOut: shared, Txn: txn,
+		Wait: wait, Latency: latency})
 }
 
 // Retry records an ARTRY abort; retries is the transaction's running count
@@ -290,22 +305,35 @@ func (s *Sink) SharedOverride(core int, in, out bool) {
 	s.emit(Record{Kind: SharedOverride, Core: core, SharedIn: in, SharedOut: out})
 }
 
-// BusComplete records a tenure finishing its data phase and leaving the bus.
-func (s *Sink) BusComplete(core int, busKind uint8, addr uint32, txn uint64) {
+// BusComplete records a tenure finishing its data phase and leaving the
+// bus; tenure is its length in engine cycles and retries the transaction's
+// ARTRY count.
+func (s *Sink) BusComplete(core int, busKind uint8, addr uint32, txn, tenure uint64, retries int) {
 	if s == nil {
 		return
 	}
-	s.emit(Record{Kind: BusComplete, Core: core, Addr: addr, BusKind: busKind, Txn: txn})
+	s.emit(Record{Kind: BusComplete, Core: core, Addr: addr, BusKind: busKind, Txn: txn,
+		Latency: tenure, Retries: retries})
 }
 
 // Drain records a completed write-back of line addr; txn is the id of the
-// write-back bus transaction that carried the data (0 when the drain has no
-// transfer of its own, e.g. a TAG-CAM completion notification).
+// write-back bus transaction that carried the data.
 func (s *Sink) Drain(core int, addr uint32, txn uint64) {
 	if s == nil {
 		return
 	}
 	s.emit(Record{Kind: Drain, Core: core, Addr: addr, Txn: txn})
+}
+
+// SnoopLogicDrain records the TAG-CAM snoop logic's ISR completing on line
+// addr: a Drain with no bus transfer of its own (Txn 0).  wait is the bus
+// cycles since the hit or overflow flush that raised the ISR; resident
+// reports whether the ISR found the line in the cache.
+func (s *Sink) SnoopLogicDrain(core int, addr uint32, wait uint64, resident bool) {
+	if s == nil {
+		return
+	}
+	s.emit(Record{Kind: Drain, Core: core, Addr: addr, Wait: wait, Resident: resident})
 }
 
 // JSONLWriter streams records to w as one JSON object per line.  It is a

@@ -14,14 +14,14 @@ import (
 func TestNilSinkIsSafe(t *testing.T) {
 	var s *Sink
 	s.BusRequest(0, 1, 0x100, 1)
-	s.BusGrant(0, 1, 0x100, true, 1)
+	s.BusGrant(0, 1, 0x100, true, 1, 0, 0)
 	s.Retry(0, 1, 0x100, 3, false, 1)
 	s.SnoopHit(1, 0x100, coherence.BusRd, 0, false, true, false, false)
 	s.StateChange(1, 0x100, coherence.Invalid, coherence.Exclusive)
 	s.WrapperConvert(1, coherence.BusRd, coherence.BusRdX)
 	s.SharedOverride(1, true, false)
 	s.Drain(1, 0x100, 0)
-	s.BusComplete(0, 1, 0x100, 1)
+	s.BusComplete(0, 1, 0x100, 1, 0, 0)
 	s.MemAccess(0, 0x104, true)
 	s.Subscribe(func(*Record) { t.Fatal("nil sink delivered an event") })
 	if s.Enabled() || s.Counts() != nil || s.Total() != 0 {
@@ -90,14 +90,14 @@ func TestJSONLWriter(t *testing.T) {
 	s.Subscribe(jw.Handle)
 
 	s.BusRequest(0, 2, 0x2000_0000, 7)
-	s.BusGrant(0, 2, 0x2000_0000, true, 7)
+	s.BusGrant(0, 2, 0x2000_0000, true, 7, 0, 0)
 	s.Retry(1, 2, 0x2000_0000, 4, true, 7)
 	s.SnoopHit(1, 0x2000_0000, coherence.BusRdX, 0, true, false, false, true)
 	s.StateChange(0, 0x2000_0000, coherence.Invalid, coherence.Exclusive)
 	s.WrapperConvert(1, coherence.BusRd, coherence.BusRdX)
 	s.SharedOverride(1, true, false)
 	s.Drain(0, 0x2000_0000, 9)
-	s.BusComplete(0, 2, 0x2000_0000, 7)
+	s.BusComplete(0, 2, 0x2000_0000, 7, 0, 0)
 	s.MemAccess(0, 0x2000_0004, true)
 
 	if jw.Err() != nil {

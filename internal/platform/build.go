@@ -137,7 +137,7 @@ func Build(cfg Config) (*Platform, error) {
 		log = trace.NewLog(cfg.TraceCap, engine.Now)
 	}
 	mem := memory.New()
-	b := bus.New(bus.Config{Timing: cfg.Timing, DeadlockThreshold: cfg.DeadlockThreshold, Pipelined: cfg.PipelinedBus}, mem, log)
+	b := bus.New(bus.Config{Timing: cfg.Timing, DeadlockThreshold: cfg.DeadlockThreshold, Pipelined: cfg.PipelinedBus}, mem)
 
 	p := &Platform{
 		Config:      cfg,
@@ -151,21 +151,11 @@ func Build(cfg Config) (*Platform, error) {
 	if cfg.Metrics {
 		p.Metrics = metrics.NewRegistry()
 	}
-	b.SetMetrics(p.Metrics)
-	// The event stream exists when the auditor or the JSONL export wants
-	// it; otherwise the sink stays nil and every producer emission is one
-	// nil check (same contract as the metrics instruments).
-	if cfg.Audit || cfg.EventLog != nil || cfg.Profile || cfg.Spans || cfg.Sharing {
-		p.events = event.NewSink(engine.Now)
-	}
-	b.SetEvents(p.events)
 	if cfg.Profile {
 		p.profiler = profile.NewLedger(len(cfg.Processors))
-		p.events.Subscribe(p.profiler.HandleEvent)
 	}
 	if cfg.Spans {
 		p.spans = span.NewCollector(lineBytes)
-		p.events.Subscribe(p.spans.HandleEvent)
 	}
 	if cfg.Sharing {
 		masters := len(cfg.Processors)
@@ -181,19 +171,15 @@ func Build(cfg Config) (*Platform, error) {
 			LineBytes: lineBytes,
 			Window:    window,
 		})
-		p.events.Subscribe(p.sharing.HandleEvent)
 	}
 	if cfg.EventLog != nil {
 		p.eventJSONL = event.NewJSONLWriter(cfg.EventLog, func(k uint8) string { return bus.Kind(k).String() })
-		p.events.Subscribe(p.eventJSONL.Handle)
 	}
 	if cfg.Audit {
 		p.auditor = audit.New(audit.Config{
 			Cores:   len(cfg.Processors),
 			Allowed: auditAllowedStates(cfg, integ),
-			Shared:  InShared,
 		})
-		p.events.Subscribe(p.auditor.Handle)
 	}
 	if p.Metrics != nil {
 		b.OnTenure(func(t bus.Tenure) {
@@ -272,9 +258,11 @@ func Build(cfg Config) (*Platform, error) {
 	// without any coherence hardware, as in the paper's evaluation.
 	hwCoherence := cfg.Solution == Proposed
 
-	if cfg.Verify {
-		p.checker = newChecker()
-		if cfg.RaceCheck {
+	// The golden model serves both the Verify checker and the auditor's
+	// stale-read check.
+	if cfg.Verify || cfg.Audit {
+		p.checker = &checker{limit: 64, auditor: p.auditor}
+		if cfg.Verify && cfg.RaceCheck {
 			p.checker.lockDepth = func(core int) int { return p.CPUs[core].LocksHeld() }
 		}
 	}
@@ -307,13 +295,8 @@ func Build(cfg Config) (*Platform, error) {
 		snoops := hwCoherence && spec.Protocol != coherence.None
 		ctl := cache.NewController(spec.Model, arr, b, policy, snoops)
 		ctl.SetMetrics(p.Metrics)
-		ctl.SetEvents(p.events)
 		if p.profiler != nil {
 			ctl.SetProfile(p.profiler)
-		}
-		if w != nil {
-			w.SetMetrics(p.Metrics)
-			w.SetEvents(p.events, i)
 		}
 		if hwCoherence && spec.WrapperLatency > 0 {
 			b.SetMasterLatency(ctl.MasterID(), spec.WrapperLatency)
@@ -327,13 +310,11 @@ func Build(cfg Config) (*Platform, error) {
 
 		var sl *snooplogic.SnoopLogic
 		if hwCoherence && spec.Protocol == coherence.None {
-			sl = snooplogic.New(spec.Model+"-snoop", b, ctl.MasterID(), spec.Cache.LineBytes, nil, log)
+			sl = snooplogic.New(b, ctl.MasterID(), spec.Cache.LineBytes, nil)
 			// The hardware TAG CAM is sized to the shadowed cache, one
 			// entry per line; stale entries beyond that are flushed
 			// through the ISR.
 			sl.SetCapacity(spec.Cache.SizeBytes / spec.Cache.LineBytes)
-			sl.SetMetrics(p.Metrics)
-			sl.SetEvents(p.events)
 		}
 
 		c := cpu.New(cpu.Config{
@@ -350,17 +331,8 @@ func Build(cfg Config) (*Platform, error) {
 		}
 		c.SetMetrics(p.Metrics)
 		c.SetProfile(p.profiler)
-		// SetHooks is single-slot, so the golden-model checker and the
-		// auditor's data-value check are chained into one hook set.
-		var hooks cpu.Hooks
 		if p.checker != nil {
-			hooks = chainHooks(hooks, cpu.Hooks{OnLoad: p.checker.onLoad, OnStore: p.checker.onStore})
-		}
-		if p.auditor != nil {
-			hooks = chainHooks(hooks, cpu.Hooks{OnLoad: p.auditor.OnLoad, OnStore: p.auditor.OnStore})
-		}
-		if hooks.OnLoad != nil || hooks.OnStore != nil {
-			c.SetHooks(hooks)
+			c.SetHooks(cpu.Hooks{OnLoad: p.checker.onLoad, OnStore: p.checker.onStore})
 		}
 		c.OnHalt(func(int) {
 			p.halted++
@@ -396,8 +368,10 @@ func Build(cfg Config) (*Platform, error) {
 	// All masters and snoopers are registered: freeze the per-master snoop
 	// fan-out sets so broadcasts walk precomputed flat lists.
 	b.FinalizeTopology()
+	p.wireEvents()
 
-	b.OnDeadlock(func() {
+	b.OnDeadlock(func(aborts, retries int) {
+		log.Addf("bus", "hardware deadlock detected (consecutive aborts %d, transaction retries %d)", aborts, retries)
 		engine.Stop("hardware deadlock", bus.ErrHardwareDeadlock)
 	})
 
@@ -510,32 +484,49 @@ func appendState(states []coherence.State, s coherence.State) []coherence.State 
 	return append(append([]coherence.State(nil), states...), s)
 }
 
-// chainHooks composes two CPU hook sets, calling a's callbacks before b's.
-func chainHooks(a, b cpu.Hooks) cpu.Hooks {
-	out := a
-	if b.OnLoad != nil {
-		if prev := out.OnLoad; prev != nil {
-			bLoad := b.OnLoad
-			out.OnLoad = func(core int, addr, val uint32, now uint64) {
-				prev(core, addr, val, now)
-				bLoad(core, addr, val, now)
-			}
-		} else {
-			out.OnLoad = b.OnLoad
+// wireEvents creates the coherence event sink when at least one subscriber
+// exists and attaches every producer to it.  With no subscriber the sink
+// stays nil and each would-be emission is one nil check.
+func (p *Platform) wireEvents() {
+	var subs []event.Handler
+	if p.profiler != nil {
+		subs = append(subs, p.profiler.HandleEvent)
+	}
+	if p.spans != nil {
+		subs = append(subs, p.spans.HandleEvent)
+	}
+	if p.sharing != nil {
+		subs = append(subs, p.sharing.HandleEvent)
+	}
+	if p.eventJSONL != nil {
+		subs = append(subs, p.eventJSONL.Handle)
+	}
+	if p.auditor != nil {
+		subs = append(subs, p.auditor.Handle)
+	}
+	if p.Metrics != nil {
+		subs = append(subs, newMetricsSubscriber(p).handle)
+	}
+	if p.Log != nil {
+		subs = append(subs, newTraceSubscriber(p).handle)
+	}
+	if len(subs) == 0 {
+		return
+	}
+	p.events = event.NewSink(p.Engine.Now)
+	for _, h := range subs {
+		p.events.Subscribe(h)
+	}
+	p.Bus.SetEvents(p.events)
+	for i, ctl := range p.Controllers {
+		ctl.SetEvents(p.events)
+		if w := p.Wrappers[i]; w != nil {
+			w.SetEvents(p.events, i)
+		}
+		if sl := p.SnoopLogics[i]; sl != nil {
+			sl.SetEvents(p.events)
 		}
 	}
-	if b.OnStore != nil {
-		if prev := out.OnStore; prev != nil {
-			bStore := b.OnStore
-			out.OnStore = func(core int, addr, val uint32, now uint64) {
-				prev(core, addr, val, now)
-				bStore(core, addr, val, now)
-			}
-		} else {
-			out.OnStore = b.OnStore
-		}
-	}
-	return out
 }
 
 // EventLogStats reports how many JSONL records were written to

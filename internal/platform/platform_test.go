@@ -1,7 +1,9 @@
 package platform_test
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 
@@ -607,6 +609,61 @@ func TestVCDDumpStructure(t *testing.T) {
 	}
 	if strings.Count(out, "#") < 20 {
 		t.Fatal("suspiciously few timestamps")
+	}
+}
+
+// failAfter accepts n bytes, then fails every write.
+type failAfter struct{ n int }
+
+var errDiskFull = errors.New("disk full")
+
+func (w *failAfter) Write(b []byte) (int, error) {
+	if len(b) <= w.n {
+		w.n -= len(b)
+		return len(b), nil
+	}
+	n := w.n
+	w.n = 0
+	return n, errDiskFull
+}
+
+// TestVCDWriteErrorSurfaces: a waveform target that fails part-way must
+// not pass for a complete dump.  VCDErr reports the first error, whether it
+// struck while sampling (the buffer filled) or in Run's final flush (the
+// last byte).
+func TestVCDWriteErrorSurfaces(t *testing.T) {
+	run := func(w io.Writer) *Platform {
+		t.Helper()
+		p, err := Build(Config{
+			Processors: PPCARm(),
+			Solution:   Proposed,
+			Lock:       LockChoice{Kind: LockUncachedTAS, Alternate: true, SpinDelay: 4},
+			VCD:        w,
+		})
+		if err != nil {
+			t.Fatal(err) // the header is still buffered
+		}
+		progs, _ := workload.Programs(workload.WCS, workload.Params{Lines: 8, ExecTime: 1, Iterations: 4}, Proposed, 2)
+		if err := p.LoadPrograms(progs); err != nil {
+			t.Fatal(err)
+		}
+		if res := p.Run(10_000_000); res.Err != nil {
+			t.Fatal(res.Err)
+		}
+		return p
+	}
+	var whole strings.Builder
+	if err := run(&whole).VCDErr(); err != nil {
+		t.Fatalf("healthy dump: VCDErr() = %v", err)
+	}
+	size := whole.Len()
+	if size < 3*4096 {
+		t.Fatalf("dump of %d bytes is too small to fail mid-run", size)
+	}
+	for _, n := range []int{0, size / 2, size - 1} {
+		if err := run(&failAfter{n: n}).VCDErr(); !errors.Is(err, errDiskFull) {
+			t.Errorf("failing after %d of %d bytes: VCDErr() = %v, want the writer's error", n, size, err)
+		}
 	}
 }
 

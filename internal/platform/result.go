@@ -35,9 +35,11 @@ func (v Violation) String() string {
 
 // checker is the golden model: because every shared-region access in the
 // workloads happens inside a critical section, the globally last write to
-// each word is well-defined and every read must return it.  It also checks
-// the lock discipline itself: a shared-region access by a core holding no
-// lock is a data race under the paper's programming model.
+// each word is well-defined and every read must return it.  It is the one
+// last-written-value store of a run: the Verify result and the auditor's
+// stale-read check both read it.  It also checks the lock discipline
+// itself: a shared-region access by a core holding no lock is a data race
+// under the paper's programming model.
 type checker struct {
 	// expected is the last value stored to each shared word.  A store of 0
 	// still marks the word written, so GoldenExpected lists it.
@@ -46,6 +48,8 @@ type checker struct {
 	races      []Race
 	limit      int
 	lockDepth  func(core int) int
+	// auditor, when non-nil, is told of every stale read.
+	auditor *audit.Auditor
 }
 
 // Race records a shared-region access performed outside any critical
@@ -66,10 +70,6 @@ func (r Race) String() string {
 	return fmt.Sprintf("cycle %d: core %d %s of shared 0x%08x outside any critical section", r.Cycle, r.Core, op, r.Addr)
 }
 
-func newChecker() *checker {
-	return &checker{limit: 64}
-}
-
 func (k *checker) noteRace(core int, addr uint32, write bool, now uint64) {
 	if k.lockDepth != nil && k.lockDepth(core) == 0 && len(k.races) < k.limit {
 		k.races = append(k.races, Race{Core: core, Addr: addr, Write: write, Cycle: now})
@@ -88,8 +88,15 @@ func (k *checker) onLoad(core int, addr, val uint32, now uint64) {
 		return
 	}
 	k.noteRace(core, addr, false, now)
-	if want := k.expected.Load(addr); want != val && len(k.violations) < k.limit {
+	want := k.expected.Load(addr)
+	if want == val {
+		return
+	}
+	if len(k.violations) < k.limit {
 		k.violations = append(k.violations, Violation{Core: core, Addr: addr, Got: val, Want: want, Cycle: now})
+	}
+	if k.auditor != nil {
+		k.auditor.StaleRead(core, addr, val, want, now)
 	}
 }
 
@@ -180,7 +187,7 @@ func (p *Platform) Run(maxCycles uint64) Result {
 			res.WrapperConv = append(res.WrapperConv, 0)
 		}
 	}
-	if p.checker != nil {
+	if p.Config.Verify {
 		res.Violations = p.checker.violations
 		res.Races = p.checker.races
 	}
@@ -250,16 +257,25 @@ func (p *Platform) Run(maxCycles uint64) Result {
 		res.Sharing = p.sharing.Summary()
 	}
 	if p.vcd != nil {
-		_ = p.vcd.w.Close(p.Engine.Now())
+		p.vcd.close(p.Engine.Now())
 	}
 	return res
+}
+
+// VCDErr returns the first write or flush error of the Config.VCD dump,
+// which Run finishes (nil when the dump is off or was written whole).
+func (p *Platform) VCDErr() error {
+	if p.vcd == nil {
+		return nil
+	}
+	return p.vcd.err
 }
 
 // GoldenExpected returns a copy of the golden model's expected value per
 // shared word (nil when Verify was off).  Tests use it to cross-check the
 // final system state.
 func (p *Platform) GoldenExpected() map[uint32]uint32 {
-	if p.checker == nil {
+	if !p.Config.Verify {
 		return nil
 	}
 	out := make(map[uint32]uint32, p.checker.expected.Len())

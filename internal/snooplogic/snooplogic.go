@@ -21,8 +21,6 @@ import (
 
 	"hetcc/internal/bus"
 	"hetcc/internal/event"
-	"hetcc/internal/metrics"
-	"hetcc/internal/trace"
 )
 
 // Stats collects snoop-logic activity counters.
@@ -51,7 +49,6 @@ type FIQRaiser interface {
 
 // SnoopLogic is the TAG CAM block for one coherence-less processor.
 type SnoopLogic struct {
-	name      string
 	owner     int // the processor's bus master id (its own traffic is not snooped)
 	bus       *bus.Bus
 	lineBytes uint32
@@ -64,16 +61,14 @@ type SnoopLogic struct {
 	// completes.
 	retried map[uint32]int
 	fiq     FIQRaiser
-	log     *trace.Log
 	stats   Stats
 
-	// hitCycle records the bus cycle of each outstanding snoop hit so the
-	// drain-duration histogram can be observed at ISR completion.
+	// hitCycle records the bus cycle of each outstanding snoop hit (or
+	// overflow flush) so ISR completion can report the drain latency.
 	hitCycle map[uint32]uint64
-	mHits    *metrics.Counter
-	mDrain   *metrics.Histogram
 
-	// nil-safe coherence event sink (see SetEvents)
+	// nil-safe coherence event sink (see SetEvents): the snoop logic's only
+	// instrumentation output
 	events *event.Sink
 }
 
@@ -81,9 +76,8 @@ type SnoopLogic struct {
 // bus master id owner, and wires it to b: it snoops every other master's
 // coherent transactions and observes the owner's completions to maintain
 // the CAM.
-func New(name string, b *bus.Bus, owner int, lineBytes int, fiq FIQRaiser, log *trace.Log) *SnoopLogic {
+func New(b *bus.Bus, owner int, lineBytes int, fiq FIQRaiser) *SnoopLogic {
 	sl := &SnoopLogic{
-		name:      name,
 		owner:     owner,
 		bus:       b,
 		lineBytes: uint32(lineBytes),
@@ -92,7 +86,6 @@ func New(name string, b *bus.Bus, owner int, lineBytes int, fiq FIQRaiser, log *
 		retried:   make(map[uint32]int),
 		hitCycle:  make(map[uint32]uint64),
 		fiq:       fiq,
-		log:       log,
 	}
 	b.AddSnooper(owner, sl)
 	b.AddObserver(sl.observe)
@@ -109,13 +102,6 @@ func (sl *SnoopLogic) SetCapacity(n int) { sl.capacity = n }
 
 // Stats returns a copy of the counters.
 func (sl *SnoopLogic) Stats() Stats { return sl.stats }
-
-// SetMetrics attaches the snoop logic to a metrics registry.  A nil
-// registry leaves the instruments nil (no-op).
-func (sl *SnoopLogic) SetMetrics(r *metrics.Registry) {
-	sl.mHits = r.Counter("snoop.cam.hits")
-	sl.mDrain = r.Histogram("snoop.drain.buscycles")
-}
 
 // SetEvents attaches the snoop logic to a coherence event sink.  A nil sink
 // makes every emission a single nil check.
@@ -138,7 +124,6 @@ func (sl *SnoopLogic) SnoopBus(t *bus.Transaction) bus.SnoopReply {
 		return bus.SnoopReply{}
 	}
 	sl.stats.Hits++
-	sl.mHits.Inc()
 	// The ISR drains a modified line or invalidates a clean one: either way
 	// the shadowed copy leaves the cache (inval) behind a drain-and-retry
 	// (flush); the TAG CAM has no wrapper, so converted is never set.
@@ -146,9 +131,6 @@ func (sl *SnoopLogic) SnoopBus(t *bus.Transaction) bus.SnoopReply {
 	sl.pending[base] = true
 	sl.hitCycle[base] = sl.bus.Cycle()
 	sl.retried[base] = t.Master
-	if sl.log.Enabled() {
-		sl.log.Addf(sl.name, "snoop hit 0x%08x -> nFIQ", base)
-	}
 	if sl.fiq != nil {
 		sl.fiq.RaiseFIQ(base)
 	}
@@ -221,11 +203,10 @@ func (sl *SnoopLogic) NoteInvalidate(addr uint32) {
 func (sl *SnoopLogic) Complete(lineBase uint32, wasResident bool) {
 	base := sl.align(lineBase)
 	delete(sl.pending, base)
-	if start, ok := sl.hitCycle[base]; ok {
-		sl.mDrain.Observe(sl.bus.Cycle() - start)
-		delete(sl.hitCycle, base)
-	}
-	sl.events.Drain(sl.owner, base, 0)
+	// Every ISR completes a hit or an overflow flush, both of which stamped
+	// hitCycle when they raised it.
+	sl.events.SnoopLogicDrain(sl.owner, base, sl.bus.Cycle()-sl.hitCycle[base], wasResident)
+	delete(sl.hitCycle, base)
 	if m, ok := sl.retried[base]; ok {
 		// Hand the bus straight back to the master the ISR was blocking so
 		// its retry wins before this core can re-cache the line.
@@ -238,9 +219,6 @@ func (sl *SnoopLogic) Complete(lineBase uint32, wasResident bool) {
 	}
 	if !wasResident {
 		sl.stats.SpuriousHits++
-	}
-	if sl.log.Enabled() {
-		sl.log.Addf(sl.name, "ISR complete 0x%08x (resident=%v)", base, wasResident)
 	}
 }
 

@@ -25,11 +25,11 @@ type bench struct {
 func newBench(t *testing.T) *bench {
 	t.Helper()
 	mem := memory.New()
-	b := bus.New(bus.Config{Timing: memory.DefaultTiming()}, mem, nil)
+	b := bus.New(bus.Config{Timing: memory.DefaultTiming()}, mem)
 	owner := b.AddMaster("arm")
 	other := b.AddMaster("ppc")
 	cpu := &fakeCPU{}
-	sl := New("arm-snoop", b, owner, 32, cpu, nil)
+	sl := New(b, owner, 32, cpu)
 	return &bench{bus: b, sl: sl, cpu: cpu, owner: owner, other: other}
 }
 

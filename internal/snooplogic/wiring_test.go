@@ -7,25 +7,29 @@ import (
 	"hetcc/internal/bus"
 	"hetcc/internal/event"
 	"hetcc/internal/memory"
-	"hetcc/internal/metrics"
 )
 
 // TestPostConstructionWiring exercises the platform's wiring order: the FIQ
-// target, metrics registry and event sink are all attached after New (the CPU
-// does not exist yet when the snoop logic is built), and a foreign hit must
-// reach all three.
+// target and event sink are both attached after New (the CPU does not exist
+// yet when the snoop logic is built), and a foreign hit must reach both.
+// The ISR's completion record carries the measured drain latency and the
+// residency the metrics and trace subscribers report.
 func TestPostConstructionWiring(t *testing.T) {
 	mem := memory.New()
-	b := bus.New(bus.Config{Timing: memory.DefaultTiming()}, mem, nil)
+	b := bus.New(bus.Config{Timing: memory.DefaultTiming()}, mem)
 	owner := b.AddMaster("arm")
 	other := b.AddMaster("ppc")
-	sl := New("arm-snoop", b, owner, 32, nil, nil)
+	sl := New(b, owner, 32, nil)
 
 	cpu := &fakeCPU{}
 	sl.SetFIQRaiser(cpu)
-	reg := metrics.NewRegistry()
-	sl.SetMetrics(reg)
 	sink := event.NewSink(nil)
+	var drains []event.Record
+	sink.Subscribe(func(r *event.Record) {
+		if r.Kind == event.Drain {
+			drains = append(drains, *r)
+		}
+	})
 	sl.SetEvents(sink)
 
 	bn := &bench{bus: b, sl: sl, cpu: cpu, owner: owner, other: other}
@@ -37,6 +41,7 @@ func TestPostConstructionWiring(t *testing.T) {
 		bn.bus.Tick(bn.now)
 		bn.now++
 	}
+	hitWindow := b.Cycle()
 	bn.sl.Complete(0x1000, true)
 	bn.drain(t)
 
@@ -46,11 +51,11 @@ func TestPostConstructionWiring(t *testing.T) {
 	if got := sl.Stats().Hits; got != 1 {
 		t.Fatalf("stats hits %d, want 1", got)
 	}
-	if got := reg.Snapshot().Counters["snoop.cam.hits"]; got != 1 {
-		t.Fatalf("metrics counter snoop.cam.hits=%d, want 1", got)
+	if counts := sink.Counts(); counts[event.SnoopHit.String()] != 1 {
+		t.Fatalf("event counts %v, want one snoop-hit record", counts)
 	}
-	if counts := sink.Counts(); counts[event.SnoopHit.String()] == 0 {
-		t.Fatalf("event counts %v missing a snoop-hit record", counts)
+	if len(drains) != 1 || drains[0].Txn != 0 || !drains[0].Resident || drains[0].Wait == 0 || drains[0].Wait >= hitWindow {
+		t.Fatalf("drain records %+v, want one Txn-0 resident drain whose wait lies inside the %d-cycle window", drains, hitWindow)
 	}
 }
 

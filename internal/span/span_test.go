@@ -57,11 +57,11 @@ func TestLifecycleAndRetryDrainEdge(t *testing.T) {
 	// submitted only after the abort, so resolution is deferred.
 	f.at(14).sink.Retry(0, rd, 0x2000_0000, 1, true, 1)
 	f.at(16).sink.BusRequest(1, wb, 0x2000_0000, 2)
-	f.at(20).sink.BusGrant(1, wb, 0x2000_0000, false, 2)
-	f.at(30).sink.BusComplete(1, wb, 0x2000_0000, 2)
+	f.at(20).sink.BusGrant(1, wb, 0x2000_0000, false, 2, 0, 0)
+	f.at(30).sink.BusComplete(1, wb, 0x2000_0000, 2, 0, 0)
 	f.at(30).sink.Drain(1, 0x2000_0000, 2)
-	f.at(34).sink.BusGrant(0, rd, 0x2000_0000, true, 1)
-	f.at(50).sink.BusComplete(0, rd, 0x2000_0000, 1)
+	f.at(34).sink.BusGrant(0, rd, 0x2000_0000, true, 1, 0, 0)
+	f.at(50).sink.BusComplete(0, rd, 0x2000_0000, 1, 0, 0)
 
 	txns := c.Txns()
 	if len(txns) != 2 {
@@ -124,9 +124,9 @@ func TestFinishLinksStallSpans(t *testing.T) {
 	f := newFeed(c)
 	rd := uint8(bus.ReadLine)
 	f.at(10).sink.BusRequest(0, rd, 0x2000_0000, 1)
-	f.at(30).sink.BusComplete(0, rd, 0x2000_0000, 1)
+	f.at(30).sink.BusComplete(0, rd, 0x2000_0000, 1, 0, 0)
 	f.at(40).sink.BusRequest(0, rd, 0x2000_0020, 2)
-	f.at(70).sink.BusComplete(0, rd, 0x2000_0020, 2)
+	f.at(70).sink.BusComplete(0, rd, 0x2000_0020, 2, 0, 0)
 
 	stalls := []profile.Span{
 		{Core: 0, Cause: profile.CauseRefill, Start: 12, End: 31},
@@ -165,9 +165,9 @@ func TestCriticalPathConservation(t *testing.T) {
 	f.at(10).sink.BusRequest(0, rd, 0x2000_0000, 1)
 	f.at(14).sink.Retry(0, rd, 0x2000_0000, 1, true, 1)
 	f.at(16).sink.BusRequest(1, wb, 0x2000_0000, 2)
-	f.at(30).sink.BusComplete(1, wb, 0x2000_0000, 2)
+	f.at(30).sink.BusComplete(1, wb, 0x2000_0000, 2, 0, 0)
 	f.at(30).sink.Drain(1, 0x2000_0000, 2)
-	f.at(50).sink.BusComplete(0, rd, 0x2000_0000, 1)
+	f.at(50).sink.BusComplete(0, rd, 0x2000_0000, 1, 0, 0)
 
 	stalls := []profile.Span{
 		{Core: 0, Cause: profile.CauseDrain, Start: 14, End: 31},
@@ -230,7 +230,7 @@ func TestJSONLExport(t *testing.T) {
 	f.at(10).sink.BusRequest(0, uint8(bus.ReadLine), 0x2000_0000, 1)
 	f.at(14).sink.Retry(0, uint8(bus.ReadLine), 0x2000_0000, 1, true, 1)
 	f.at(16).sink.BusRequest(1, uint8(bus.WriteLine), 0x2000_0000, 2)
-	f.at(30).sink.BusComplete(0, uint8(bus.ReadLine), 0x2000_0000, 1)
+	f.at(30).sink.BusComplete(0, uint8(bus.ReadLine), 0x2000_0000, 1, 0, 0)
 	c.Finish([]profile.Span{{Core: 0, Cause: profile.CauseDrain, Start: 14, End: 30}}, 40)
 
 	var sb strings.Builder
@@ -259,7 +259,7 @@ func TestRetentionBound(t *testing.T) {
 	for i := uint64(1); i <= 4; i++ {
 		f.at(i).sink.BusRequest(0, uint8(bus.ReadLine), uint32(0x2000_0000+32*i), i)
 	}
-	f.at(9).sink.BusComplete(0, uint8(bus.ReadLine), 0x2000_0060, 3)
+	f.at(9).sink.BusComplete(0, uint8(bus.ReadLine), 0x2000_0060, 3, 0, 0)
 	if len(c.Txns()) != 2 || c.Dropped() != 2 {
 		t.Fatalf("kept %d dropped %d, want 2/2", len(c.Txns()), c.Dropped())
 	}

@@ -17,7 +17,6 @@ import (
 	"hetcc/internal/coherence"
 	"hetcc/internal/core"
 	"hetcc/internal/event"
-	"hetcc/internal/metrics"
 )
 
 // Wrapper implements cache.Policy from a core.WrapperPolicy.
@@ -31,14 +30,9 @@ type Wrapper struct {
 	Conversions uint64
 	Overrides   uint64
 
-	// mConvert holds one counter per snoop-op kind actually converted by
-	// the policy, indexed by the observed BusOp; mOverride counts changed
-	// shared-signal samples.  All nil-safe (see SetMetrics).
-	mConvert  map[coherence.BusOp]*metrics.Counter
-	mOverride *metrics.Counter
-
-	// nil-safe coherence event sink (see SetEvents); core is the owning
-	// processor's index, stamped on every record.
+	// nil-safe coherence event sink (see SetEvents), the wrapper's only
+	// instrumentation output; core is the owning processor's index, stamped
+	// on every record.
 	events *event.Sink
 	core   int
 }
@@ -56,23 +50,6 @@ func (w *Wrapper) Name() string { return w.name }
 // Policy returns the integration policy in force.
 func (w *Wrapper) Policy() core.WrapperPolicy { return w.policy }
 
-// SetMetrics attaches the wrapper to a metrics registry, pre-creating one
-// conversion counter per snoop-op kind the policy actually rewrites (e.g.
-// "wrapper.PowerPC755.convert.BusRd→BusRdX").  A nil registry leaves the
-// instruments nil (no-op).
-func (w *Wrapper) SetMetrics(r *metrics.Registry) {
-	if r == nil {
-		return
-	}
-	w.mConvert = make(map[coherence.BusOp]*metrics.Counter)
-	for _, op := range []coherence.BusOp{coherence.BusRd, coherence.BusRdX, coherence.BusUpgr, coherence.BusUpd} {
-		if converted := w.policy.SnoopOp(op); converted != op {
-			w.mConvert[op] = r.Counter(fmt.Sprintf("wrapper.%s.convert.%v→%v", w.name, op, converted))
-		}
-	}
-	w.mOverride = r.Counter(fmt.Sprintf("wrapper.%s.shared.overrides", w.name))
-}
-
 // SetEvents attaches the wrapper to a coherence event sink; core is the
 // owning processor's index.  A nil sink makes every emission a nil check.
 func (w *Wrapper) SetEvents(s *event.Sink, core int) {
@@ -87,7 +64,6 @@ func (w *Wrapper) ConvertSnoop(op coherence.BusOp) coherence.BusOp {
 	converted := w.policy.SnoopOp(op)
 	if converted != op {
 		w.Conversions++
-		w.mConvert[op].Inc() // nil map lookup yields a nil (no-op) counter
 		w.events.WrapperConvert(w.core, op, converted)
 	}
 	return converted
@@ -98,7 +74,6 @@ func (w *Wrapper) OverrideShared(shared bool) bool {
 	out := w.policy.ApplyShared(shared)
 	if out != shared {
 		w.Overrides++
-		w.mOverride.Inc()
 		w.events.SharedOverride(w.core, shared, out)
 	}
 	return out
