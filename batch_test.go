@@ -25,7 +25,7 @@ var schedulerModes = []string{platform.SchedulerEvent, platform.SchedulerTick}
 // × scenario × solution, with verification, auditing, profiling and span
 // collection on so the reports carry the full pre-v6 payload (stats,
 // violations, audit summary, stall-cause profile, critical path).  The
-// sharing collector stays off here — TestSharingDigestEquivalence proves
+// sharing collector stays off here — TestObserverNeutrality proves
 // enabling it changes nothing but the added section.  The scheduler argument
 // selects the engine strategy for every run in the batch.
 func determinismBatch(t *testing.T, scheduler string) []hetcc.BatchSpec {

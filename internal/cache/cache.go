@@ -36,7 +36,9 @@ func (c Config) Validate() error {
 	if c.Ways <= 0 {
 		return fmt.Errorf("cache: ways must be positive, got %d", c.Ways)
 	}
-	if c.SizeBytes <= 0 || c.SizeBytes%(c.LineBytes*c.Ways) != 0 {
+	// Ways > SizeBytes/LineBytes first, so LineBytes*Ways cannot overflow
+	// to zero.
+	if c.SizeBytes <= 0 || c.Ways > c.SizeBytes/c.LineBytes || c.SizeBytes%(c.LineBytes*c.Ways) != 0 {
 		return fmt.Errorf("cache: size %d not divisible by ways*line (%d)", c.SizeBytes, c.LineBytes*c.Ways)
 	}
 	sets := c.Sets()

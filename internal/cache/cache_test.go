@@ -26,12 +26,14 @@ func TestConfigValidate(t *testing.T) {
 	bad := []Config{
 		{},
 		{SizeBytes: 100, Ways: 1, LineBytes: 32}, // not divisible
-		{SizeBytes: 1024, Ways: 3, LineBytes: 32},    // hmm: 1024/(96) not integer
-		{SizeBytes: 1024, Ways: 1, LineBytes: 10},    // line not mult of 4
-		{SizeBytes: 96 * 32, Ways: 1, LineBytes: 32}, // 96 sets: not a power of two
-		{SizeBytes: -1024, Ways: 2, LineBytes: 32},   // negative
-		{SizeBytes: 1024, Ways: 0, LineBytes: 32},    // zero ways
-		{SizeBytes: 12288, Ways: 4, LineBytes: 48},   // 64 sets, but line not a power of two
+		{SizeBytes: 1024, Ways: 3, LineBytes: 32},            // hmm: 1024/(96) not integer
+		{SizeBytes: 1024, Ways: 1, LineBytes: 10},            // line not mult of 4
+		{SizeBytes: 96 * 32, Ways: 1, LineBytes: 32},         // 96 sets: not a power of two
+		{SizeBytes: -1024, Ways: 2, LineBytes: 32},           // negative
+		{SizeBytes: 1024, Ways: 0, LineBytes: 32},            // zero ways
+		{SizeBytes: 12288, Ways: 4, LineBytes: 48},           // 64 sets, but line not a power of two
+		{SizeBytes: 1024, Ways: 1 << 32, LineBytes: 1 << 32}, // ways*line overflows to 0
+		{SizeBytes: 1024, Ways: 1, LineBytes: 2048},          // line larger than the cache
 	}
 	for _, c := range bad {
 		if err := c.Validate(); err == nil {
