@@ -102,8 +102,8 @@ type lineState struct {
 }
 
 // Auditor consumes the event stream and the golden model's stale-read
-// reports and checks the invariants described in the package comment.  It is not safe for
-// concurrent use (the simulation kernel is single-threaded).
+// reports and checks the invariants described in the package comment.  It
+// is not safe for concurrent use (the simulation kernel is single-threaded).
 type Auditor struct {
 	cfg        Config
 	allowed    []map[coherence.State]bool

@@ -137,19 +137,15 @@ type Record struct {
 	// collector (package span) can correlate lifecycle events without the
 	// bus depending on it.
 	Txn uint64
-	// Wait is a duration the producer measured, in bus cycles: on BusGrant
-	// the wait from submission to grant; on a snoop-logic Drain the time
-	// from the snoop hit (or CAM-overflow flush) to ISR completion.
-	Wait uint64
-	// Latency is a length the producer measured: on BusGrant the data-phase
-	// latency in bus cycles (wrapper conversion cost included); on
-	// BusComplete the tenure in engine cycles, from grant (or pipelined
-	// promotion) to completion.  BusComplete also carries the completed
-	// transaction's retry count in Retries.
-	Latency uint64
-	// Resident qualifies a snoop-logic Drain: the ISR found the line in the
-	// cache (false: a spurious hit on a stale TAG-CAM entry).
-	Resident bool
+	// Wait, Latency and Resident carry what the producer measured.  Wait,
+	// in bus cycles: submission to grant on BusGrant; snoop hit (or
+	// CAM-overflow flush) to ISR completion on a snoop-logic Drain.
+	// Latency: the data phase in bus cycles on BusGrant; the tenure in
+	// engine cycles, from grant (or pipelined promotion) to completion, on
+	// BusComplete, which also carries the retry count in Retries.
+	// Resident: the ISR found the line (false for a spurious TAG-CAM hit).
+	Wait, Latency uint64
+	Resident      bool
 }
 
 // Handler receives records synchronously as they are emitted.  The pointed-to
@@ -182,9 +178,6 @@ func NewSink(now func() uint64) *Sink {
 	return &Sink{now: now}
 }
 
-// Enabled reports whether the sink records events (false for nil).
-func (s *Sink) Enabled() bool { return s != nil }
-
 // Subscribe registers a handler.  Handlers run in registration order.
 func (s *Sink) Subscribe(h Handler) {
 	if s == nil || h == nil {
@@ -206,18 +199,6 @@ func (s *Sink) Counts() map[string]uint64 {
 		}
 	}
 	return out
-}
-
-// Total returns the total number of records emitted.
-func (s *Sink) Total() uint64 {
-	if s == nil {
-		return 0
-	}
-	var t uint64
-	for _, n := range s.counts {
-		t += n
-	}
-	return t
 }
 
 func (s *Sink) emit(r Record) {
@@ -245,8 +226,7 @@ func (s *Sink) BusGrant(core int, busKind uint8, addr uint32, shared bool, txn, 
 	if s == nil {
 		return
 	}
-	s.emit(Record{Kind: BusGrant, Core: core, Addr: addr, BusKind: busKind, SharedOut: shared, Txn: txn,
-		Wait: wait, Latency: latency})
+	s.emit(Record{Kind: BusGrant, Core: core, Addr: addr, BusKind: busKind, SharedOut: shared, Txn: txn, Wait: wait, Latency: latency})
 }
 
 // Retry records an ARTRY abort; retries is the transaction's running count
@@ -312,8 +292,7 @@ func (s *Sink) BusComplete(core int, busKind uint8, addr uint32, txn, tenure uin
 	if s == nil {
 		return
 	}
-	s.emit(Record{Kind: BusComplete, Core: core, Addr: addr, BusKind: busKind, Txn: txn,
-		Latency: tenure, Retries: retries})
+	s.emit(Record{Kind: BusComplete, Core: core, Addr: addr, BusKind: busKind, Txn: txn, Latency: tenure, Retries: retries})
 }
 
 // Drain records a completed write-back of line addr; txn is the id of the

@@ -24,7 +24,7 @@ func TestNilSinkIsSafe(t *testing.T) {
 	s.BusComplete(0, 1, 0x100, 1, 0, 0)
 	s.MemAccess(0, 0x104, true)
 	s.Subscribe(func(*Record) { t.Fatal("nil sink delivered an event") })
-	if s.Enabled() || s.Counts() != nil || s.Total() != 0 {
+	if s.Counts() != nil {
 		t.Fatal("nil sink misbehaves")
 	}
 }
@@ -55,9 +55,6 @@ func TestSinkStampsCountsAndFansOut(t *testing.T) {
 	counts := s.Counts()
 	if counts["state-change"] != 2 || counts["drain"] != 1 || len(counts) != 2 {
 		t.Fatalf("counts %v, want state-change:2 drain:1 only", counts)
-	}
-	if s.Total() != 3 {
-		t.Fatalf("total %d, want 3", s.Total())
 	}
 }
 

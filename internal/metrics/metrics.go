@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
 )
 
 // Counter is a monotonically increasing event count.
@@ -209,9 +208,6 @@ func NewRegistry() *Registry {
 	}
 }
 
-// Enabled reports whether the registry records anything (false for nil).
-func (r *Registry) Enabled() bool { return r != nil }
-
 // Counter returns the named counter, creating it on first use.  Returns nil
 // on a nil registry.
 func (r *Registry) Counter(name string) *Counter {
@@ -341,19 +337,6 @@ func (r *Registry) Snapshot() *Snapshot {
 		}
 	}
 	return s
-}
-
-// HistogramNames returns the registered histogram names, sorted.
-func (r *Registry) HistogramNames() []string {
-	if r == nil {
-		return nil
-	}
-	out := make([]string, 0, len(r.histograms))
-	for n := range r.histograms {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // String summarises the registry for debugging.

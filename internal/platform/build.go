@@ -132,10 +132,6 @@ func Build(cfg Config) (*Platform, error) {
 	}
 
 	engine := sim.NewEngine()
-	var log *trace.Log
-	if cfg.TraceCap > 0 {
-		log = trace.NewLog(cfg.TraceCap, engine.Now)
-	}
 	mem := memory.New()
 	b := bus.New(bus.Config{Timing: cfg.Timing, DeadlockThreshold: cfg.DeadlockThreshold, Pipelined: cfg.PipelinedBus}, mem)
 
@@ -145,17 +141,22 @@ func Build(cfg Config) (*Platform, error) {
 		Bus:         b,
 		Memory:      mem,
 		Integration: integ,
-		Log:         log,
 	}
 
+	var subs []event.Handler // the event stream's subscribers
+	if cfg.TraceCap > 0 {
+		p.Log = trace.NewLog(cfg.TraceCap, engine.Now)
+	}
 	if cfg.Metrics {
 		p.Metrics = metrics.NewRegistry()
 	}
 	if cfg.Profile {
 		p.profiler = profile.NewLedger(len(cfg.Processors))
+		subs = append(subs, p.profiler.HandleEvent)
 	}
 	if cfg.Spans {
 		p.spans = span.NewCollector(lineBytes)
+		subs = append(subs, p.spans.HandleEvent)
 	}
 	if cfg.Sharing {
 		masters := len(cfg.Processors)
@@ -171,15 +172,18 @@ func Build(cfg Config) (*Platform, error) {
 			LineBytes: lineBytes,
 			Window:    window,
 		})
+		subs = append(subs, p.sharing.HandleEvent)
 	}
 	if cfg.EventLog != nil {
 		p.eventJSONL = event.NewJSONLWriter(cfg.EventLog, func(k uint8) string { return bus.Kind(k).String() })
+		subs = append(subs, p.eventJSONL.Handle)
 	}
 	if cfg.Audit {
 		p.auditor = audit.New(audit.Config{
 			Cores:   len(cfg.Processors),
 			Allowed: auditAllowedStates(cfg, integ),
 		})
+		subs = append(subs, p.auditor.Handle)
 	}
 	if p.Metrics != nil {
 		b.OnTenure(func(t bus.Tenure) {
@@ -368,10 +372,33 @@ func Build(cfg Config) (*Platform, error) {
 	// All masters and snoopers are registered: freeze the per-master snoop
 	// fan-out sets so broadcasts walk precomputed flat lists.
 	b.FinalizeTopology()
-	p.wireEvents()
+	if p.Metrics != nil {
+		subs = append(subs, metricsHandler(p))
+	}
+	if p.Log != nil {
+		subs = append(subs, traceHandler(p))
+	}
+	// The sink exists exactly when something subscribes; otherwise each
+	// would-be emission is one nil check.
+	if len(subs) > 0 {
+		p.events = event.NewSink(engine.Now)
+		for _, h := range subs {
+			p.events.Subscribe(h)
+		}
+		b.SetEvents(p.events)
+		for i, ctl := range p.Controllers {
+			ctl.SetEvents(p.events)
+			if w := p.Wrappers[i]; w != nil {
+				w.SetEvents(p.events, i)
+			}
+			if sl := p.SnoopLogics[i]; sl != nil {
+				sl.SetEvents(p.events)
+			}
+		}
+	}
 
 	b.OnDeadlock(func(aborts, retries int) {
-		log.Addf("bus", "hardware deadlock detected (consecutive aborts %d, transaction retries %d)", aborts, retries)
+		p.Log.Addf("bus", "hardware deadlock detected (consecutive aborts %d, transaction retries %d)", aborts, retries)
 		engine.Stop("hardware deadlock", bus.ErrHardwareDeadlock)
 	})
 
@@ -482,51 +509,6 @@ func appendState(states []coherence.State, s coherence.State) []coherence.State 
 		}
 	}
 	return append(append([]coherence.State(nil), states...), s)
-}
-
-// wireEvents creates the coherence event sink when at least one subscriber
-// exists and attaches every producer to it.  With no subscriber the sink
-// stays nil and each would-be emission is one nil check.
-func (p *Platform) wireEvents() {
-	var subs []event.Handler
-	if p.profiler != nil {
-		subs = append(subs, p.profiler.HandleEvent)
-	}
-	if p.spans != nil {
-		subs = append(subs, p.spans.HandleEvent)
-	}
-	if p.sharing != nil {
-		subs = append(subs, p.sharing.HandleEvent)
-	}
-	if p.eventJSONL != nil {
-		subs = append(subs, p.eventJSONL.Handle)
-	}
-	if p.auditor != nil {
-		subs = append(subs, p.auditor.Handle)
-	}
-	if p.Metrics != nil {
-		subs = append(subs, newMetricsSubscriber(p).handle)
-	}
-	if p.Log != nil {
-		subs = append(subs, newTraceSubscriber(p).handle)
-	}
-	if len(subs) == 0 {
-		return
-	}
-	p.events = event.NewSink(p.Engine.Now)
-	for _, h := range subs {
-		p.events.Subscribe(h)
-	}
-	p.Bus.SetEvents(p.events)
-	for i, ctl := range p.Controllers {
-		ctl.SetEvents(p.events)
-		if w := p.Wrappers[i]; w != nil {
-			w.SetEvents(p.events, i)
-		}
-		if sl := p.SnoopLogics[i]; sl != nil {
-			sl.SetEvents(p.events)
-		}
-	}
 }
 
 // EventLogStats reports how many JSONL records were written to

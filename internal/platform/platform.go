@@ -287,12 +287,16 @@ type Config struct {
 	// made while holding no lock — a violation of the paper's critical-
 	// section programming model.
 	RaceCheck bool
-	// TraceCap enables the event trace, bounded to this many events.
+	// TraceCap enables the text trace of bus and snoop-logic activity,
+	// bounded to this many lines.  The trace formats event records, so it
+	// enables the coherence event stream.
 	TraceCap int
 	// Metrics enables the unified metrics layer: latency histograms on the
 	// bus/cache/snoop/lock hot paths, windowed time series, and bus tenure
-	// spans for the Chrome-trace export.  Off by default; the disabled path
-	// costs nothing measurable (nil-safe instruments).
+	// spans for the Chrome-trace export.  The bus, snoop-logic and wrapper
+	// instruments are filled from event records, so it enables the
+	// coherence event stream.  Off by default; the disabled path costs
+	// nothing measurable (nil-safe instruments).
 	Metrics bool
 	// MetricsWindow is the time-series sampling window in engine cycles
 	// (default 10,000 = 100 us at the paper's 100 MHz clocking).

@@ -35,11 +35,10 @@ func (v Violation) String() string {
 
 // checker is the golden model: because every shared-region access in the
 // workloads happens inside a critical section, the globally last write to
-// each word is well-defined and every read must return it.  It is the one
-// last-written-value store of a run: the Verify result and the auditor's
-// stale-read check both read it.  It also checks the lock discipline
-// itself: a shared-region access by a core holding no lock is a data race
-// under the paper's programming model.
+// each word is well-defined and every read must return it.  It serves both
+// Verify and the auditor's stale-read check.  It also checks the lock
+// discipline itself: a shared-region access by a core holding no lock is a
+// data race under the paper's programming model.
 type checker struct {
 	// expected is the last value stored to each shared word.  A store of 0
 	// still marks the word written, so GoldenExpected lists it.
@@ -88,15 +87,13 @@ func (k *checker) onLoad(core int, addr, val uint32, now uint64) {
 		return
 	}
 	k.noteRace(core, addr, false, now)
-	want := k.expected.Load(addr)
-	if want == val {
-		return
-	}
-	if len(k.violations) < k.limit {
-		k.violations = append(k.violations, Violation{Core: core, Addr: addr, Got: val, Want: want, Cycle: now})
-	}
-	if k.auditor != nil {
-		k.auditor.StaleRead(core, addr, val, want, now)
+	if want := k.expected.Load(addr); want != val {
+		if len(k.violations) < k.limit {
+			k.violations = append(k.violations, Violation{Core: core, Addr: addr, Got: val, Want: want, Cycle: now})
+		}
+		if k.auditor != nil {
+			k.auditor.StaleRead(core, addr, val, want, now)
+		}
 	}
 }
 
@@ -257,7 +254,7 @@ func (p *Platform) Run(maxCycles uint64) Result {
 		res.Sharing = p.sharing.Summary()
 	}
 	if p.vcd != nil {
-		p.vcd.close(p.Engine.Now())
+		p.vcd.err = p.vcd.w.Close(p.Engine.Now())
 	}
 	return res
 }

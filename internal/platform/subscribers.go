@@ -7,130 +7,90 @@ import (
 	"hetcc/internal/coherence"
 	"hetcc/internal/event"
 	"hetcc/internal/metrics"
-	"hetcc/internal/trace"
 )
 
-// metricsSubscriber fills the bus, snoop-logic and wrapper instruments from
-// the event stream: those components emit records only, and every measured
-// quantity (grant wait, tenure, retries, drain latency) rides on a record.
-type metricsSubscriber struct {
-	grantWait, tenure, retries *metrics.Histogram
-	// camHits and drain are nil unless some core has a snoop logic.
-	camHits    *metrics.Counter
-	drain      *metrics.Histogram
-	snoopUnits []string
-	// convert[i][op] counts wrapper i's conversions of op; overrides[i] its
-	// shared-signal overrides.  Nil for cores without a wrapper.
-	convert   [][coherence.BusUpd + 1]*metrics.Counter
-	overrides []*metrics.Counter
+// fromSnoopLogic reports whether a TAG-CAM snoop logic emitted r.  A core
+// with a snoop logic has no snooping cache controller, so its SnoopHit
+// records are the TAG CAM's, and so are its Drain records without a bus
+// transfer (Txn 0).
+func fromSnoopLogic(p *Platform, r *event.Record) bool {
+	return r.Core < len(p.SnoopLogics) && p.SnoopLogics[r.Core] != nil && (r.Kind != event.Drain || r.Txn == 0)
 }
 
-// newMetricsSubscriber registers exactly the instruments the components
-// used to register themselves: the bus histograms always, the snoop-logic
-// pair when a snoop logic exists, and per installed wrapper one zero-valued
-// counter per op its policy rewrites plus its override counter.
-func newMetricsSubscriber(p *Platform) *metricsSubscriber {
+// metricsHandler registers the bus, snoop-logic and wrapper instruments —
+// the snoop pair only when a snoop logic exists, and per installed wrapper
+// one counter per op its policy rewrites plus its override counter — and
+// returns the subscriber that fills them from the records' measured values.
+func metricsHandler(p *Platform) event.Handler {
 	r := p.Metrics
-	m := &metricsSubscriber{
-		grantWait:  r.Histogram("bus.grant.wait.buscycles"),
-		tenure:     r.Histogram("bus.tenure.enginecycles"),
-		retries:    r.Histogram("bus.retries.per.txn"),
-		snoopUnits: snoopLogicUnits(p),
-		convert:    make([][coherence.BusUpd + 1]*metrics.Counter, len(p.Wrappers)),
-		overrides:  make([]*metrics.Counter, len(p.Wrappers)),
-	}
+	grantWait := r.Histogram("bus.grant.wait.buscycles")
+	tenure := r.Histogram("bus.tenure.enginecycles")
+	retries := r.Histogram("bus.retries.per.txn")
+	var camHits *metrics.Counter
+	var drain *metrics.Histogram
 	for _, sl := range p.SnoopLogics {
 		if sl != nil {
-			m.camHits = r.Counter("snoop.cam.hits")
-			m.drain = r.Histogram("snoop.drain.buscycles")
+			camHits, drain = r.Counter("snoop.cam.hits"), r.Histogram("snoop.drain.buscycles")
 		}
 	}
+	// convert[i][op] counts wrapper i's conversions of op; nil for cores
+	// without a wrapper and ops its policy keeps.
+	convert := make([][coherence.BusUpd + 1]*metrics.Counter, len(p.Wrappers))
+	overrides := make([]*metrics.Counter, len(p.Wrappers))
 	for i, w := range p.Wrappers {
 		if w == nil {
 			continue
 		}
 		for op := coherence.BusRd; op <= coherence.BusUpd; op++ {
-			if converted := w.Policy().SnoopOp(op); converted != op {
-				m.convert[i][op] = r.Counter(fmt.Sprintf("wrapper.%s.convert.%v→%v", w.Name(), op, converted))
+			if to := w.Policy().SnoopOp(op); to != op {
+				convert[i][op] = r.Counter(fmt.Sprintf("wrapper.%s.convert.%v→%v", w.Name(), op, to))
 			}
 		}
-		m.overrides[i] = r.Counter(fmt.Sprintf("wrapper.%s.shared.overrides", w.Name()))
+		overrides[i] = r.Counter(fmt.Sprintf("wrapper.%s.shared.overrides", w.Name()))
 	}
-	return m
-}
-
-// snoopLogicUnits names each core's snoop logic as the text trace labels it
-// ("" for cores without one).
-func snoopLogicUnits(p *Platform) []string {
-	units := make([]string, len(p.SnoopLogics))
-	for i, sl := range p.SnoopLogics {
-		if sl != nil {
-			units[i] = p.Config.Processors[i].Model + "-snoop"
+	return func(rec *event.Record) {
+		switch rec.Kind {
+		case event.BusGrant:
+			grantWait.Observe(rec.Wait)
+		case event.BusComplete:
+			tenure.Observe(rec.Latency)
+			retries.Observe(uint64(rec.Retries))
+		case event.SnoopHit:
+			if fromSnoopLogic(p, rec) {
+				camHits.Inc()
+			}
+		case event.Drain:
+			if fromSnoopLogic(p, rec) {
+				drain.Observe(rec.Wait)
+			}
+		case event.WrapperConvert:
+			convert[rec.Core][rec.Op].Inc()
+		case event.SharedOverride:
+			overrides[rec.Core].Inc()
 		}
 	}
-	return units
 }
 
-// snoopLogicUnit returns the unit of the snoop logic that emitted r, or ""
-// when r did not come from one.  A core with a snoop logic has no snooping
-// cache controller, so its SnoopHit records are the TAG CAM's; its Drain
-// records are the TAG CAM's when they carry no bus transfer (Txn 0).
-func snoopLogicUnit(units []string, r *event.Record) string {
-	if r.Core < 0 || r.Core >= len(units) || (r.Kind == event.Drain && r.Txn != 0) {
-		return ""
-	}
-	return units[r.Core]
-}
-
-func (m *metricsSubscriber) handle(r *event.Record) {
-	switch r.Kind {
-	case event.BusGrant:
-		m.grantWait.Observe(r.Wait)
-	case event.BusComplete:
-		m.tenure.Observe(r.Latency)
-		m.retries.Observe(uint64(r.Retries))
-	case event.SnoopHit:
-		if snoopLogicUnit(m.snoopUnits, r) != "" {
-			m.camHits.Inc()
-		}
-	case event.Drain:
-		if snoopLogicUnit(m.snoopUnits, r) != "" {
-			m.drain.Observe(r.Wait)
-		}
-	case event.WrapperConvert:
-		m.convert[r.Core][r.Op].Inc()
-	case event.SharedOverride:
-		m.overrides[r.Core].Inc()
-	}
-}
-
-// traceSubscriber formats the bus and snoop-logic records into the text
-// trace (Platform.Log).
-type traceSubscriber struct {
-	log        *trace.Log
-	bus        *bus.Bus
-	snoopUnits []string
-}
-
-func newTraceSubscriber(p *Platform) *traceSubscriber {
-	return &traceSubscriber{log: p.Log, bus: p.Bus, snoopUnits: snoopLogicUnits(p)}
-}
-
-func (t *traceSubscriber) handle(r *event.Record) {
-	switch r.Kind {
-	case event.Retry:
-		t.log.Addf("bus", "ARTRY %s %s 0x%08x (retry %d)", t.bus.MasterName(r.Core), bus.Kind(r.BusKind), r.Addr, r.Retries)
-	case event.BusGrant:
-		t.log.Addf("bus", "grant %s %s 0x%08x shared=%v lat=%d", t.bus.MasterName(r.Core), bus.Kind(r.BusKind), r.Addr, r.SharedOut, r.Latency)
-	case event.BusComplete:
-		t.log.Addf("bus", "done  %s %s 0x%08x", t.bus.MasterName(r.Core), bus.Kind(r.BusKind), r.Addr)
-	case event.SnoopHit:
-		if unit := snoopLogicUnit(t.snoopUnits, r); unit != "" {
-			t.log.Addf(unit, "snoop hit 0x%08x -> nFIQ", r.Addr)
-		}
-	case event.Drain:
-		if unit := snoopLogicUnit(t.snoopUnits, r); unit != "" {
-			t.log.Addf(unit, "ISR complete 0x%08x (resident=%v)", r.Addr, r.Resident)
+// traceHandler returns the subscriber that formats bus and snoop-logic
+// records into the text trace (Platform.Log).
+func traceHandler(p *Platform) event.Handler {
+	log, b := p.Log, p.Bus
+	return func(r *event.Record) {
+		switch r.Kind {
+		case event.Retry:
+			log.Addf("bus", "ARTRY %s %s 0x%08x (retry %d)", b.MasterName(r.Core), bus.Kind(r.BusKind), r.Addr, r.Retries)
+		case event.BusGrant:
+			log.Addf("bus", "grant %s %s 0x%08x shared=%v lat=%d", b.MasterName(r.Core), bus.Kind(r.BusKind), r.Addr, r.SharedOut, r.Latency)
+		case event.BusComplete:
+			log.Addf("bus", "done  %s %s 0x%08x", b.MasterName(r.Core), bus.Kind(r.BusKind), r.Addr)
+		case event.SnoopHit:
+			if fromSnoopLogic(p, r) {
+				log.Addf(p.Config.Processors[r.Core].Model+"-snoop", "snoop hit 0x%08x -> nFIQ", r.Addr)
+			}
+		case event.Drain:
+			if fromSnoopLogic(p, r) {
+				log.Addf(p.Config.Processors[r.Core].Model+"-snoop", "ISR complete 0x%08x (resident=%v)", r.Addr, r.Resident)
+			}
 		}
 	}
 }

@@ -12,7 +12,7 @@ import (
 type vcdProbe struct {
 	p *Platform
 	w *vcd.Writer
-	// err is the dump's first write or flush error; sampling stops there.
+	// err is the dump's first write or flush error, set by Run.
 	err error
 
 	busBusy   *vcd.Signal
@@ -50,17 +50,12 @@ func newVCDProbe(p *Platform, out io.Writer) (*vcdProbe, error) {
 	return pr, nil
 }
 
-// Tick implements sim.Ticker.
+// Tick implements sim.Ticker.  A write error sticks in the writer, which
+// then writes nothing more and returns it from Close, so Set's result can
+// be dropped here: Run reports it through Platform.VCDErr.
 func (pr *vcdProbe) Tick(now uint64) {
-	if pr.err != nil {
-		return
-	}
 	probe := pr.p.Bus.Probe()
-	set := func(s *vcd.Signal, v uint64) {
-		if err := pr.w.Set(s, now, v); err != nil && pr.err == nil {
-			pr.err = err
-		}
-	}
+	set := func(s *vcd.Signal, v uint64) { _ = pr.w.Set(s, now, v) }
 	set(pr.busBusy, b2u(probe.Busy))
 	set(pr.busMaster, uint64(probe.Master))
 	set(pr.busKind, uint64(probe.Kind))
@@ -73,15 +68,6 @@ func (pr *vcdProbe) Tick(now uint64) {
 		set(pr.cpuISR[i], b2u(c.InISR()))
 		set(pr.cpuPC[i], c.Stats().Instructions)
 	}
-}
-
-// close stamps the final time, flushes the dump and returns its first
-// error.
-func (pr *vcdProbe) close(now uint64) error {
-	if err := pr.w.Close(now); pr.err == nil {
-		pr.err = err
-	}
-	return pr.err
 }
 
 func b2u(b bool) uint64 {

@@ -1,13 +1,12 @@
-// Package trace provides a lightweight, allocation-conscious event trace for
-// debugging simulations and for the case-study walkthrough output of
-// cmd/protocheck.  Tracing is optional: a nil *Log is valid everywhere and
-// records nothing.
+// Package trace provides the bounded text trace of a simulation: the
+// platform's trace subscriber formats bus and snoop-logic event records
+// into it.  Tracing is optional: a nil *Log is valid everywhere and records
+// nothing.
 package trace
 
 import (
 	"fmt"
 	"io"
-	"strings"
 )
 
 // Event is one timestamped trace record.
@@ -43,9 +42,6 @@ type Log struct {
 func NewLog(max int, now func() uint64) *Log {
 	return &Log{now: now, max: max}
 }
-
-// Enabled reports whether the log records events (false for nil).
-func (l *Log) Enabled() bool { return l != nil }
 
 // Addf records a formatted event at the clock's current cycle.  Safe to call
 // on a nil log.
@@ -119,18 +115,4 @@ func (l *Log) WriteTo(w io.Writer) (int64, error) {
 		}
 	}
 	return total, nil
-}
-
-// Grep returns the retained events whose message contains substr.
-func (l *Log) Grep(substr string) []Event {
-	if l == nil {
-		return nil
-	}
-	var out []Event
-	for i := 0; i < len(l.events); i++ {
-		if e := l.at(i); strings.Contains(e.Msg, substr) {
-			out = append(out, e)
-		}
-	}
-	return out
 }
