@@ -826,8 +826,8 @@ func (b *Bus) prepare(now uint64, id int) prepared {
 	}
 
 	latency += m.latency // wrapper protocol-conversion cost
-	// Emitted once the latency is known; no device emits during its access,
-	// so the record keeps its place in the stream.
+	// Emitted once the latency is known.  No device emits during its
+	// access, so no record lands between the address phase and this one.
 	b.events.BusGrant(t.Master, uint8(t.Kind), t.Addr, shared, t.id, b.cycle-t.submitCycle, uint64(latency))
 	return prepared{p: p, res: res, latency: latency, ok: true, buf: buf}
 }

@@ -129,6 +129,9 @@ type Record struct {
 	// SharedIn/SharedOut carry the shared-signal value before and after a
 	// SharedOverride, and SharedOut the sampled value on BusGrant.
 	SharedIn, SharedOut bool
+	// Resident qualifies a snoop-logic Drain: the ISR found the line (false
+	// for a spurious TAG-CAM hit).
+	Resident bool
 	// Txn is the bus-assigned transaction id for
 	// BusRequest/BusGrant/Retry/BusComplete, and for Drain the id of the
 	// write-back transaction that drained the line (0 for the snoop logic's
@@ -137,15 +140,13 @@ type Record struct {
 	// collector (package span) can correlate lifecycle events without the
 	// bus depending on it.
 	Txn uint64
-	// Wait, Latency and Resident carry what the producer measured.  Wait,
-	// in bus cycles: submission to grant on BusGrant; snoop hit (or
-	// CAM-overflow flush) to ISR completion on a snoop-logic Drain.
-	// Latency: the data phase in bus cycles on BusGrant; the tenure in
-	// engine cycles, from grant (or pipelined promotion) to completion, on
-	// BusComplete, which also carries the retry count in Retries.
-	// Resident: the ISR found the line (false for a spurious TAG-CAM hit).
+	// Wait and Latency carry what the producer measured.  Wait, in bus
+	// cycles: submission to grant on BusGrant; snoop hit (or CAM-overflow
+	// flush) to ISR completion on a snoop-logic Drain.  Latency: the data
+	// phase in bus cycles on BusGrant; the tenure in engine cycles, from
+	// grant (or pipelined promotion) to completion, on BusComplete, which
+	// also carries the retry count in Retries.
 	Wait, Latency uint64
-	Resident      bool
 }
 
 // Handler receives records synchronously as they are emitted.  The pointed-to
