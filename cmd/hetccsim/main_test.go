@@ -1,11 +1,145 @@
 package main
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"errors"
+	"flag"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"testing"
 
 	"hetcc"
 	"hetcc/internal/platform"
 )
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/chrometrace_digests.json")
+
+// runMainEnv marks a re-executed test binary that must run hetccsim's main()
+// with its command-line arguments instead of the tests.
+const runMainEnv = "HETCCSIM_TEST_RUN_MAIN"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(runMainEnv) == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// hetccsim runs the command with args in a child process and returns its
+// stdout and exit code.
+func hetccsim(t *testing.T, args ...string) ([]byte, int) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), runMainEnv+"=1")
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	switch {
+	case err == nil:
+		return stdout.Bytes(), 0
+	case errors.As(err, &exit):
+		return stdout.Bytes(), exit.ExitCode()
+	default:
+		t.Fatalf("hetccsim %v: %v\nstderr: %s", args, err, stderr.Bytes())
+		return nil, -1
+	}
+}
+
+// chromeTraceRuns are the Chrome-trace golden's runs: WCS under the
+// proposed solution on the three case-study platforms, plus the PF2 cached
+// test-and-set run that ends in the paper's hardware deadlock (exit 1).
+var chromeTraceRuns = []struct {
+	label string
+	args  []string
+	exit  int
+}{
+	{"pf1/WCS/proposed", []string{"-platform", "arm-arm", "-scenario", "wcs", "-solution", "proposed"}, 0},
+	{"pf2/WCS/proposed", []string{"-platform", "ppc-arm", "-scenario", "wcs", "-solution", "proposed"}, 0},
+	{"pf3/WCS/proposed", []string{"-platform", "ppc-i486", "-scenario", "wcs", "-solution", "proposed"}, 0},
+	{"pf2/WCS/proposed/cached-tas", []string{"-platform", "ppc-arm", "-scenario", "wcs", "-solution", "proposed", "-lock", "cached-tas"}, 1},
+}
+
+// TestChromeTraceGolden pins the -chrometrace file byte for byte, as a
+// SHA-256 per run and scheduler in testdata/chrometrace_digests.json.
+// Regenerate after an intended change with
+//
+//	go test ./cmd/hetccsim -run TestChromeTraceGolden -update
+func TestChromeTraceGolden(t *testing.T) {
+	got := map[string]map[string]string{}
+	for _, scheduler := range []string{platform.SchedulerEvent, platform.SchedulerTick} {
+		got[scheduler] = map[string]string{}
+		for _, run := range chromeTraceRuns {
+			path := filepath.Join(t.TempDir(), "trace.json")
+			args := append(append([]string{}, run.args...), "-scheduler", scheduler, "-chrometrace", path)
+			if _, code := hetccsim(t, args...); code != run.exit {
+				t.Fatalf("%s %s: exit %d, want %d", scheduler, run.label, code, run.exit)
+			}
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(raw)
+			got[scheduler][run.label] = hex.EncodeToString(sum[:])
+		}
+	}
+	golden := filepath.Join("testdata", "chrometrace_digests.json")
+	if *updateGolden {
+		raw, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, append(raw, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %s", golden)
+		return
+	}
+	raw, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	var want map[string]map[string]string
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatalf("parse %s: %v", golden, err)
+	}
+	for scheduler, runs := range got {
+		if len(runs) != len(want[scheduler]) {
+			t.Errorf("%s: %d runs, golden pins %d", scheduler, len(runs), len(want[scheduler]))
+		}
+		for label, d := range runs {
+			if w := want[scheduler][label]; d != w {
+				t.Errorf("%s %s: digest %s, golden %s", scheduler, label, d, w)
+			}
+		}
+	}
+}
+
+// TestExitCodes: bad input and an unwritable output exit 2, a run that ends
+// abnormally (the hardware deadlock) exits 1.
+func TestExitCodes(t *testing.T) {
+	cases := []struct {
+		name string
+		args []string
+		want int
+	}{
+		{"unknown scenario", []string{"-scenario", "banana"}, 2},
+		{"unwritable vcd", []string{"-vcd", "/dev/full"}, 2},
+		{"cached-tas deadlock", []string{"-platform", "ppc-arm", "-lock", "cached-tas"}, 1},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if _, code := hetccsim(t, c.args...); code != c.want {
+				t.Errorf("hetccsim %v: exit %d, want %d", c.args, code, c.want)
+			}
+		})
+	}
+}
 
 func TestParseScenario(t *testing.T) {
 	cases := map[string]hetcc.Scenario{
