@@ -79,7 +79,7 @@ func RunBatch(specs []BatchSpec, opts BatchOptions) []BatchResult {
 					maxCycles = 50_000_000
 				}
 				res := p.Run(maxCycles)
-				br.Result = Result{Result: res, EngineCyclesPerBusCycle: 2}
+				br.Result = Result{Result: res, EngineCyclesPerBusCycle: platform.BusClockDiv}
 				if opts.Reports {
 					rep := p.Report(res, spec.Config.Scenario.String())
 					br.Report = &rep

@@ -137,7 +137,7 @@ func main() {
 	if *sharingPath != "" {
 		cfg.Sharing = true
 	}
-	if *reportPath != "" || *chromePath != "" {
+	if *reportPath != "" {
 		cfg.Metrics = true
 		cfg.MetricsWindow = *metricsWin
 	}
@@ -217,7 +217,7 @@ func main() {
 	if total := res.Bus.BusyCycles + res.Bus.IdleCycles; total > 0 {
 		util = float64(res.Bus.BusyCycles) / float64(total) * 100
 	}
-	fmt.Printf("execution time: %d engine cycles (%d bus cycles @ 50 MHz), bus utilisation %.1f%%\n\n", res.Cycles, res.Cycles/2, util)
+	fmt.Printf("execution time: %d engine cycles (%d bus cycles @ 50 MHz), bus utilisation %.1f%%\n\n", res.Cycles, res.Cycles/platform.BusClockDiv, util)
 
 	busT := stats.NewTable("Bus", "tenures", "completed", "aborted(ARTRY)", "fills", "writebacks", "upgrades", "word r/w", "rmw", "c2c", "busy", "idle")
 	busT.AddRow(res.Bus.Tenures, res.Bus.Completed, res.Bus.Aborted, res.Bus.LineFills,
@@ -349,7 +349,7 @@ func main() {
 		printSharing(s, p.MasterName)
 	}
 	if *chromePath != "" {
-		events := chrometrace.FromTenures(res.Tenures, p.MasterName)
+		events := chrometrace.FromTxns(p.Spans(), platform.BusClockDiv, res.Cycles, p.MasterName)
 		events = append(events, chrometrace.FromLog(p.Log)...)
 		events = append(events, chrometrace.FromStallSpans(res.StallSpans, coreName(p))...)
 		if res.Audit != nil {

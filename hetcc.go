@@ -83,9 +83,8 @@ type Config struct {
 	VCD io.Writer
 	// PipelinedBus enables the AHB-style address/data overlap ablation.
 	PipelinedBus bool
-	// Metrics enables the unified metrics layer (latency histograms, time
-	// series, bus tenure spans); the run's snapshot lands in
-	// Result.Metrics.
+	// Metrics enables the unified metrics layer (latency histograms and
+	// time series); the run's snapshot lands in Result.Metrics.
 	Metrics bool
 	// MetricsWindow overrides the time-series sampling window in engine
 	// cycles (default platform.DefaultMetricsWindow).
@@ -188,7 +187,7 @@ func Run(cfg Config) (Result, error) {
 		maxCycles = 50_000_000
 	}
 	res := p.Run(maxCycles)
-	return Result{Result: res, EngineCyclesPerBusCycle: 2}, p.VCDErr()
+	return Result{Result: res, EngineCyclesPerBusCycle: platform.BusClockDiv}, p.VCDErr()
 }
 
 // MustRun is Run for tests and examples where configuration errors are

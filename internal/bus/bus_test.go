@@ -453,6 +453,40 @@ func TestPipelinedSameLineNotOverlapped(t *testing.T) {
 	}
 }
 
+// TestPipelinedProbeNamesTenureOnBus: an overlapped address phase, whether
+// it succeeds or is ARTRYed, must not change the identity of the tenure in
+// its data phase.  Probe (the VCD) keeps naming the master on the bus.
+func TestPipelinedProbeNamesTenureOnBus(t *testing.T) {
+	for _, artry := range []bool{false, true} {
+		mem := memory.New()
+		b := New(Config{Timing: memory.DefaultTiming(), Pipelined: true}, mem)
+		m0 := b.AddMaster("m0")
+		m1 := b.AddMaster("m1")
+		// Owned by m0, so it snoops (and, when artry, aborts) m1's tenures.
+		b.AddSnooper(m0, &fakeSnooper{reply: SnoopReply{Retry: artry}})
+		done := false
+		b.Submit(&Transaction{Master: m0, Kind: ReadLine, Addr: 0x1000, Words: 8}, func(Result) { done = true })
+		b.Tick(0) // grant m0
+		b.Submit(&Transaction{Master: m1, Kind: WriteWord, Addr: 0x8000, Val: 1}, nil)
+		for now := uint64(1); now < 100; now++ {
+			b.Tick(now)
+			if done {
+				break
+			}
+			if p := b.Probe(); !p.Busy || p.Master != m0 || p.Kind != ReadLine || p.Addr != 0x1000 || p.Aborting {
+				t.Fatalf("artry=%v cycle %d: probe %+v during m0's data phase", artry, now, p)
+			}
+		}
+		if !done {
+			t.Fatalf("artry=%v: m0's fill never completed", artry)
+		}
+		st := b.Stats()
+		if artry && st.Aborted == 0 || !artry && st.Overlapped == 0 {
+			t.Fatalf("artry=%v: no overlapped address phase happened (%+v)", artry, st)
+		}
+	}
+}
+
 func TestPipelinedKeepsPerMasterOrder(t *testing.T) {
 	mem := memory.New()
 	b := New(Config{Timing: memory.DefaultTiming(), Pipelined: true}, mem)

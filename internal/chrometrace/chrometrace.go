@@ -6,8 +6,9 @@
 //
 //   - trace.Log events become instant events ("ph":"i"), one lane (tid) per
 //     emitting unit;
-//   - bus tenure spans (package bus) become complete events ("ph":"X") with
-//     a duration, one lane per bus master, so contention, ARTRY storms and
+//   - bus tenures, drawn from the span collector's transaction records
+//     (package span), become complete events ("ph":"X") with a duration,
+//     one lane per bus master, so contention, ARTRY storms and
 //     back-to-back tenures are visible on the timeline.
 //
 // Timestamps are microseconds at the paper's clocking: the engine advances
@@ -73,40 +74,89 @@ func meta(kind string, pid, tid int, label string) Event {
 	return Event{Name: kind, Ph: "M", Pid: pid, Tid: tid, Args: map[string]any{"name": label}}
 }
 
-// FromTenures converts bus tenure spans into complete events, one lane per
-// master.  masterName labels the lanes (nil falls back to "master N").
-func FromTenures(tenures []bus.Tenure, masterName func(id int) string) []Event {
-	if len(tenures) == 0 {
+// FromTxns draws the bus lanes from the span collector's transaction
+// records, one complete event per tenure and one lane per master:
+//
+//   - each completed transaction is a tenure from its grant to its
+//     completion, with "retries" its number of ARTRY epochs;
+//   - each ARTRY epoch is an aborted tenure one bus cycle (busCycle engine
+//     cycles) long, with "retries" its 1-based index.  Epochs that would end
+//     after the run's last cycle, end, are skipped.
+//
+// Tenures are emitted in end-cycle order.  Transactions the collector
+// dropped beyond its retention bound are reported by a marker, as FromLog
+// reports dropped trace lines.  masterName labels the lanes (nil falls back
+// to "master N").
+func FromTxns(c *span.Collector, busCycle, end uint64, masterName func(id int) string) []Event {
+	type tenure struct {
+		txn        *span.Txn
+		start, end uint64
+		aborted    bool
+		retries    int
+	}
+	var tenures []tenure
+	txns := c.Txns()
+	for i := range txns {
+		t := &txns[i]
+		for j, ep := range t.Retries {
+			if ep.Cycle+busCycle <= end {
+				tenures = append(tenures, tenure{t, ep.Cycle, ep.Cycle + busCycle, true, j + 1})
+			}
+		}
+		if t.Done {
+			tenures = append(tenures, tenure{t, t.Grant, t.Complete, false, len(t.Retries)})
+		}
+	}
+	dropped := c.Dropped()
+	if len(tenures) == 0 && dropped == 0 {
 		return nil
 	}
+	sort.SliceStable(tenures, func(i, j int) bool { return tenures[i].end < tenures[j].end })
 	events := []Event{meta("process_name", PidBus, 0, "bus tenures")}
 	seen := map[int]bool{}
 	for _, t := range tenures {
-		if !seen[t.Master] {
-			seen[t.Master] = true
-			label := fmt.Sprintf("master %d", t.Master)
+		m := t.txn.Master
+		if !seen[m] {
+			seen[m] = true
+			label := fmt.Sprintf("master %d", m)
 			if masterName != nil {
-				label = masterName(t.Master)
+				label = masterName(m)
 			}
-			events = append(events, meta("thread_name", PidBus, t.Master, label))
+			events = append(events, meta("thread_name", PidBus, m, label))
 		}
-		name := t.Kind.String()
-		if t.Aborted {
+		name := bus.Kind(t.txn.Kind).String()
+		if t.aborted {
 			name = "ARTRY " + name
 		}
-		dur := usAt(t.End) - usAt(t.Start)
+		dur := usAt(t.end) - usAt(t.start)
 		events = append(events, Event{
 			Name: name,
 			Ph:   "X",
-			Ts:   usAt(t.Start),
+			Ts:   usAt(t.start),
 			Dur:  &dur,
 			Pid:  PidBus,
-			Tid:  t.Master,
+			Tid:  m,
 			Args: map[string]any{
-				"addr":    fmt.Sprintf("0x%08x", t.Addr),
-				"retries": t.Retries,
-				"aborted": t.Aborted,
+				"addr":    fmt.Sprintf("0x%08x", t.txn.Addr),
+				"retries": t.retries,
+				"aborted": t.aborted,
 			},
+		})
+	}
+	if dropped > 0 {
+		// The dropped transactions were submitted after the last retained
+		// one.
+		var at uint64
+		if len(txns) > 0 {
+			at = txns[len(txns)-1].Submit
+		}
+		events = append(events, Event{
+			Name: fmt.Sprintf("%d later transactions dropped by retention bound", dropped),
+			Ph:   "i",
+			Ts:   usAt(at),
+			Pid:  PidBus,
+			Tid:  0,
+			Args: map[string]any{"s": "p", "dropped": dropped},
 		})
 	}
 	return events
@@ -231,7 +281,7 @@ func FromViolations(vs []audit.Violation) []Event {
 //   - complete→resume: from a transaction's completion on the bus lane to
 //     the blocked core's resume point on its stall lane.
 //
-// The events target the FromTenures (PidBus) and FromStallSpans
+// The events target the FromTxns (PidBus) and FromStallSpans
 // (PidProfile) lanes, so include those when exporting edges.
 func FromSpanEdges(edges []span.Edge) []Event {
 	var events []Event

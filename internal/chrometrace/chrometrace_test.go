@@ -11,6 +11,7 @@ import (
 
 	"hetcc/internal/audit"
 	"hetcc/internal/bus"
+	"hetcc/internal/event"
 	"hetcc/internal/profile"
 	"hetcc/internal/span"
 	"hetcc/internal/trace"
@@ -39,12 +40,36 @@ func requireKeys(t *testing.T, events []Event) {
 	}
 }
 
-func TestFromTenures(t *testing.T) {
-	tenures := []bus.Tenure{
-		{Master: 0, Kind: bus.ReadLine, Addr: 0x1000_0000, Start: 100, End: 130},
-		{Master: 1, Kind: bus.WriteLine, Addr: 0x1000_0020, Start: 130, End: 150, Aborted: true, Retries: 2},
+// busRec builds the bus records a span collector consumes.
+func busRec(kind event.Kind, txn, cycle uint64, master int, op bus.Kind, addr uint32) event.Record {
+	return event.Record{Kind: kind, Txn: txn, Cycle: cycle, Core: master, BusKind: uint8(op), Addr: addr}
+}
+
+// collect feeds recs to a fresh span collector.
+func collect(recs ...event.Record) *span.Collector {
+	c := span.NewCollector(32)
+	for i := range recs {
+		c.HandleEvent(&recs[i])
 	}
-	events := FromTenures(tenures, func(m int) string { return map[int]string{0: "ppc", 1: "arm"}[m] })
+	return c
+}
+
+func TestFromTxns(t *testing.T) {
+	c := collect(
+		busRec(event.BusRequest, 1, 90, 0, bus.ReadLine, 0x1000_0000),
+		busRec(event.BusRequest, 2, 95, 1, bus.WriteLine, 0x1000_0020),
+		busRec(event.BusGrant, 1, 100, 0, bus.ReadLine, 0x1000_0000),
+		// An overlapped address phase ARTRYed during txn 1's data phase.
+		busRec(event.Retry, 2, 110, 1, bus.WriteLine, 0x1000_0020),
+		busRec(event.BusComplete, 1, 130, 0, bus.ReadLine, 0x1000_0000),
+		busRec(event.Retry, 2, 140, 1, bus.WriteLine, 0x1000_0020),
+		busRec(event.BusGrant, 2, 150, 1, bus.WriteLine, 0x1000_0020),
+		busRec(event.BusRequest, 3, 160, 0, bus.Upgrade, 0x1000_0040),
+		busRec(event.BusComplete, 2, 170, 1, bus.WriteLine, 0x1000_0020),
+		// Would end at 201, after the run's last cycle: not drawn.
+		busRec(event.Retry, 3, 199, 0, bus.Upgrade, 0x1000_0040),
+	)
+	events := FromTxns(c, 2, 200, func(m int) string { return map[int]string{0: "ppc", 1: "arm"}[m] })
 	requireKeys(t, events)
 
 	var spans []Event
@@ -53,15 +78,28 @@ func TestFromTenures(t *testing.T) {
 			spans = append(spans, e)
 		}
 	}
-	if len(spans) != 2 {
-		t.Fatalf("%d spans, want 2", len(spans))
+	want := []struct {
+		name    string
+		ts, dur float64
+		retries int
+		aborted bool
+	}{
+		{"ARTRY " + bus.WriteLine.String(), 1.1, 0.02, 1, true},
+		{bus.ReadLine.String(), 1.0, 0.3, 0, false},
+		{"ARTRY " + bus.WriteLine.String(), 1.4, 0.02, 2, true},
+		{bus.WriteLine.String(), 1.5, 0.2, 2, false},
 	}
-	// 100 engine cycles per microsecond: cycle 100 is ts 1.0 us.
-	if spans[0].Ts != 1.0 || math.Abs(*spans[0].Dur-0.3) > 1e-9 {
-		t.Fatalf("span 0 ts=%v dur=%v, want 1.0/0.3", spans[0].Ts, *spans[0].Dur)
+	if len(spans) != len(want) {
+		t.Fatalf("%d spans, want %d: %+v", len(spans), len(want), spans)
 	}
-	if spans[1].Name != "ARTRY "+bus.WriteLine.String() {
-		t.Fatalf("aborted span named %q", spans[1].Name)
+	// 100 engine cycles per microsecond: cycle 100 is ts 1.0 us.  Spans come
+	// in end-cycle order.
+	for i, w := range want {
+		s := spans[i]
+		if s.Name != w.name || math.Abs(s.Ts-w.ts) > 1e-9 || math.Abs(*s.Dur-w.dur) > 1e-9 ||
+			s.Args["retries"] != w.retries || s.Args["aborted"] != w.aborted {
+			t.Errorf("span %d = %s ts=%v dur=%v args=%v, want %+v", i, s.Name, s.Ts, *s.Dur, s.Args, w)
+		}
 	}
 	// One thread_name metadata lane per master, labelled by the callback.
 	labels := map[string]bool{}
@@ -73,8 +111,28 @@ func TestFromTenures(t *testing.T) {
 	if !labels["ppc"] || !labels["arm"] {
 		t.Fatalf("lane labels %v", labels)
 	}
-	if FromTenures(nil, nil) != nil {
-		t.Fatal("empty tenures should export nothing")
+	if FromTxns(nil, 2, 200, nil) != nil || FromTxns(span.NewCollector(32), 2, 200, nil) != nil {
+		t.Fatal("no transactions should export nothing")
+	}
+}
+
+// TestFromTxnsReportsDropped: transactions the collector could not retain
+// are counted on a marker, as FromLog counts dropped trace lines.
+func TestFromTxnsReportsDropped(t *testing.T) {
+	c := collect(
+		busRec(event.BusRequest, 1, 90, 0, bus.ReadLine, 0x1000_0000),
+		busRec(event.BusGrant, 1, 100, 0, bus.ReadLine, 0x1000_0000),
+		busRec(event.BusComplete, 1, 130, 0, bus.ReadLine, 0x1000_0000),
+		busRec(event.BusRequest, 7, 140, 1, bus.ReadLine, 0x1000_0020), // out of sequence: dropped
+	)
+	if c.Dropped() != 1 {
+		t.Fatalf("collector dropped %d, want 1", c.Dropped())
+	}
+	events := FromTxns(c, 2, 200, nil)
+	requireKeys(t, events)
+	last := events[len(events)-1]
+	if last.Ph != "i" || last.Pid != PidBus || last.Args["dropped"] != uint64(1) {
+		t.Fatalf("last event %+v, want a bus-lane marker counting 1 dropped transaction", last)
 	}
 }
 
@@ -250,12 +308,21 @@ func TestFromSpanEdges(t *testing.T) {
 func TestWriteGolden(t *testing.T) {
 	masterName := func(m int) string { return map[int]string{0: "ppc", 1: "arm"}[m] }
 	var events []Event
-	events = append(events, FromTenures([]bus.Tenure{
-		{Master: 0, Kind: bus.ReadLine, Addr: 0x2000_0000, Start: 100, End: 130},
-		{Master: 1, Kind: bus.RMWWord, Addr: 0x2000_0040, Start: 130, End: 140, Aborted: true, Retries: 1},
-		{Master: 0, Kind: bus.WriteLine, Addr: 0x2000_0040, Start: 160, End: 300},
-		{Master: 1, Kind: bus.RMWWord, Addr: 0x2000_0040, Start: 300, End: 320},
-	}, masterName)...)
+	// Txn 2 is ARTRYed once and still queued when the trace ends; txn 4 is
+	// a later RMW of the same master.  One bus cycle is 10 engine cycles here.
+	events = append(events, FromTxns(collect(
+		busRec(event.BusRequest, 1, 90, 0, bus.ReadLine, 0x2000_0000),
+		busRec(event.BusRequest, 2, 95, 1, bus.RMWWord, 0x2000_0040),
+		busRec(event.BusGrant, 1, 100, 0, bus.ReadLine, 0x2000_0000),
+		busRec(event.BusComplete, 1, 130, 0, bus.ReadLine, 0x2000_0000),
+		busRec(event.Retry, 2, 130, 1, bus.RMWWord, 0x2000_0040),
+		busRec(event.BusRequest, 3, 150, 0, bus.WriteLine, 0x2000_0040),
+		busRec(event.BusGrant, 3, 160, 0, bus.WriteLine, 0x2000_0040),
+		busRec(event.BusRequest, 4, 290, 1, bus.RMWWord, 0x2000_0040),
+		busRec(event.BusComplete, 3, 300, 0, bus.WriteLine, 0x2000_0040),
+		busRec(event.BusGrant, 4, 300, 1, bus.RMWWord, 0x2000_0040),
+		busRec(event.BusComplete, 4, 320, 1, bus.RMWWord, 0x2000_0040),
+	), 10, 320, masterName)...)
 	events = append(events, FromStallSpans([]profile.Span{
 		{Core: 1, Cause: profile.CauseLock, Start: 130, End: 320},
 		{Core: 0, Cause: profile.CauseDrain, Start: 150, End: 300},

@@ -62,7 +62,6 @@ type Platform struct {
 	Manifest *Manifest
 
 	sampler    *metrics.Sampler
-	tenures    []bus.Tenure
 	checker    *checker
 	vcd        *vcdProbe
 	halted     int
@@ -101,9 +100,6 @@ func Build(cfg Config) (*Platform, error) {
 	if len(cfg.Processors) == 0 {
 		return nil, fmt.Errorf("platform: no processors")
 	}
-	if cfg.BusClockDiv == 0 {
-		cfg.BusClockDiv = 2
-	}
 	switch cfg.Scheduler {
 	case "", SchedulerEvent, SchedulerTick:
 	default:
@@ -133,7 +129,7 @@ func Build(cfg Config) (*Platform, error) {
 
 	engine := sim.NewEngine()
 	mem := memory.New()
-	b := bus.New(bus.Config{Timing: cfg.Timing, DeadlockThreshold: cfg.DeadlockThreshold, Pipelined: cfg.PipelinedBus}, mem)
+	b := bus.New(bus.Config{Timing: cfg.Timing, Pipelined: cfg.PipelinedBus}, mem)
 
 	p := &Platform{
 		Config:      cfg,
@@ -151,7 +147,7 @@ func Build(cfg Config) (*Platform, error) {
 		p.Metrics = metrics.NewRegistry()
 	}
 	if cfg.Profile {
-		p.profiler = profile.NewLedger(len(cfg.Processors))
+		p.profiler = profile.NewLedger(len(cfg.Processors), engine.Now)
 		subs = append(subs, p.profiler.HandleEvent)
 	}
 	if cfg.Spans {
@@ -184,13 +180,6 @@ func Build(cfg Config) (*Platform, error) {
 			Allowed: auditAllowedStates(cfg, integ),
 		})
 		subs = append(subs, p.auditor.Handle)
-	}
-	if p.Metrics != nil {
-		b.OnTenure(func(t bus.Tenure) {
-			if len(p.tenures) < maxTenures {
-				p.tenures = append(p.tenures, t)
-			}
-		})
 	}
 
 	// Lock subsystem: each lock id gets its own 256-byte block of the
@@ -409,13 +398,13 @@ func Build(cfg Config) (*Platform, error) {
 	for i, c := range p.CPUs {
 		cpuHandles[i] = engine.Register(fmt.Sprintf("cpu%d:%s", i, c.Name()), cfg.Processors[i].ClockDiv, c)
 	}
-	busHandle := engine.Register("bus", cfg.BusClockDiv, b)
+	busHandle := engine.Register("bus", BusClockDiv, b)
 	// The peripheral clock runs at half the bus clock.
-	timerDiv := cfg.BusClockDiv * 2
+	timerDiv := BusClockDiv * 2
 	engine.Register("timer", timerDiv, p.Timer)
 	var dmaHandle *sim.Handle
 	if p.DMA != nil {
-		dmaHandle = engine.Register("dma", cfg.BusClockDiv, p.DMA)
+		dmaHandle = engine.Register("dma", BusClockDiv, p.DMA)
 	}
 	if p.Metrics != nil {
 		window := cfg.MetricsWindow
@@ -425,7 +414,7 @@ func Build(cfg Config) (*Platform, error) {
 		s := p.Metrics.NewSampler(window)
 		// Bus utilization: busy bus cycles this window over the bus cycles
 		// the window spans (window engine cycles / BusClockDiv).
-		busCyclesPerWindow := float64(window / cfg.BusClockDiv)
+		busCyclesPerWindow := float64(window / BusClockDiv)
 		var prevBusy uint64
 		s.Level("bus.utilization", func() float64 {
 			busy := b.Stats().BusyCycles
@@ -468,7 +457,6 @@ func Build(cfg Config) (*Platform, error) {
 		if p.DMA != nil {
 			p.DMA.BindScheduler(dmaHandle)
 		}
-		p.profiler.SetClock(engine.Now)
 		engine.UseEventScheduler()
 	}
 

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"hetcc/internal/chrometrace"
 	. "hetcc/internal/platform"
 	"hetcc/internal/workload"
 )
@@ -133,38 +135,11 @@ func TestReportRoundTrip(t *testing.T) {
 	}
 }
 
-// TestReportV1FieldsStable guards v1 consumers: every v1 top-level field must
-// still be present with its v1 JSON name across later schema versions.
-func TestReportV1FieldsStable(t *testing.T) {
-	_, _, rep := runWCSReport(t)
-	var buf bytes.Buffer
-	if err := WriteReport(&buf, rep); err != nil {
-		t.Fatal(err)
-	}
-	var raw map[string]json.RawMessage
-	if err := json.Unmarshal(buf.Bytes(), &raw); err != nil {
-		t.Fatal(err)
-	}
-	v1Fields := []string{
-		"schema", "schema_version", "scenario", "solution", "platform",
-		"effective_protocol", "cycles", "bus_cycles", "stop_reason",
-		"deadlocked", "coherent", "bus", "cores", "metrics",
-	}
-	for _, f := range v1Fields {
-		if _, ok := raw[f]; !ok {
-			t.Errorf("v1 field %q missing from v%d report", f, ReportSchemaVersion)
-		}
-	}
-	var schema string
-	if err := json.Unmarshal(raw["schema"], &schema); err != nil || schema != ReportSchema {
-		t.Errorf("schema = %q (%v), want %q", schema, err, ReportSchema)
-	}
-}
-
-// TestReportV2FieldsStable guards v2 consumers: the "audit" section is
-// unchanged, and the v3/v4 additions are separate keys rather than changes
-// to any existing field.
-func TestReportV2FieldsStable(t *testing.T) {
+// TestReportFieldsStable guards the consumers of every schema version.  The
+// row for version N checks that every key of versions 1..N is still present
+// under its old name, and that the bump to N+1 only added the separate keys
+// in next, whose content it checks.
+func TestReportFieldsStable(t *testing.T) {
 	_, res, rep := runWCSReport(t)
 	var buf bytes.Buffer
 	if err := WriteReport(&buf, rep); err != nil {
@@ -174,189 +149,166 @@ func TestReportV2FieldsStable(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &raw); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := raw["audit"]; !ok {
-		t.Error("v2 audit section missing from v3 report")
+	rows := []struct {
+		keys, next []string
+		check      func(t *testing.T)
+	}{
+		{
+			keys: []string{
+				"schema", "schema_version", "scenario", "solution", "platform",
+				"effective_protocol", "cycles", "bus_cycles", "stop_reason",
+				"deadlocked", "coherent", "bus", "cores", "metrics",
+			},
+			check: func(t *testing.T) {
+				var schema string
+				if err := json.Unmarshal(raw["schema"], &schema); err != nil || schema != ReportSchema {
+					t.Errorf("schema = %q (%v), want %q", schema, err, ReportSchema)
+				}
+			},
+		},
+		{
+			// v3's profile section upholds the conservation invariant
+			// against the cores section of the same report.
+			keys: []string{"audit"},
+			next: []string{"profile"},
+			check: func(t *testing.T) {
+				if rep.Profile == nil || len(rep.Profile.Cores) != len(rep.Cores) {
+					t.Fatalf("profile %+v does not cover the report's %d cores", rep.Profile, len(rep.Cores))
+				}
+				for i, cs := range rep.Profile.Cores {
+					var sum uint64
+					for _, n := range cs.Causes {
+						sum += n
+					}
+					if sum != rep.Cores[i].CPU.StallCycles || sum != cs.StallCycles {
+						t.Errorf("core %d: causes sum %d, profile stall_cycles %d, cpu stall_cycles %d",
+							i, sum, cs.StallCycles, rep.Cores[i].CPU.StallCycles)
+					}
+				}
+				if len(res.StallSpans) == 0 {
+					t.Error("no stall spans captured on a profiled run")
+				}
+			},
+		},
+		{
+			// v4's critical path partitions the run's cycles exactly and
+			// passes the profile-ledger cross-check.
+			keys: []string{"profile"},
+			next: []string{"critical_path"},
+			check: func(t *testing.T) {
+				var version int
+				if err := json.Unmarshal(raw["schema_version"], &version); err != nil || version != ReportSchemaVersion {
+					t.Errorf("schema_version = %d (%v), want %d", version, err, ReportSchemaVersion)
+				}
+				cp := rep.CriticalPath
+				if cp == nil {
+					t.Fatal("critical_path missing from a spans-enabled report")
+				}
+				if cp.CrossCheckError != "" {
+					t.Fatalf("critical path failed the profile-ledger cross-check: %s", cp.CrossCheckError)
+				}
+				if cp.TotalCycles != res.Cycles || cp.CyclesAttributed() != res.Cycles {
+					t.Fatalf("critical path attributes %d of %d cycles (reports %d total)",
+						cp.CyclesAttributed(), res.Cycles, cp.TotalCycles)
+				}
+				if len(cp.TopTransactions) == 0 {
+					t.Error("no top blocking transactions on a contended WCS run")
+				}
+			},
+		},
+		{
+			// v5's cohort partition is conserved against the run's cycle
+			// count, and its manifest carries exactly what runWCSReport
+			// pinned, through a ReadReport round trip.
+			keys: []string{"critical_path"},
+			next: []string{"cohorts", "manifest"},
+			check: func(t *testing.T) {
+				co := rep.Cohorts
+				if co == nil {
+					t.Fatal("cohorts missing from a spans-enabled report")
+				}
+				if !co.Conserved() {
+					t.Fatalf("cohort partition not conserved: %+v", co)
+				}
+				if co.TotalCycles != res.Cycles {
+					t.Fatalf("cohorts partition %d cycles, run took %d", co.TotalCycles, res.Cycles)
+				}
+				if rep.CriticalPath != nil && co.Anchor != rep.CriticalPath.Core {
+					t.Fatalf("cohort anchor %d != critical-path core %d", co.Anchor, rep.CriticalPath.Core)
+				}
+				if len(co.Cohorts) == 0 {
+					t.Error("no cohorts on a contended WCS run")
+				}
+				m := rep.Manifest
+				if m == nil || m.SchemaVersion != ReportSchemaVersion || m.GoVersion != "go0.0-golden" {
+					t.Fatalf("manifest not stamped as pinned: %+v", m)
+				}
+				back, err := ReadReport(bytes.NewReader(buf.Bytes()))
+				if err != nil {
+					t.Fatalf("ReadReport rejected its own output: %v", err)
+				}
+				if back.Cycles != res.Cycles || !back.Cohorts.Conserved() {
+					t.Fatalf("round-tripped report drifted: %d cycles, conserved=%v", back.Cycles, back.Cohorts.Conserved())
+				}
+				if diff := m.Diff(back.Manifest); len(diff) != 0 {
+					t.Fatalf("manifest drifted through the round trip: %v", diff)
+				}
+			},
+		},
+		{
+			// v6's sharing section is conserved against its own
+			// event-stream totals with every touched line in exactly one
+			// class.
+			keys: []string{"cohorts", "manifest"},
+			next: []string{"sharing"},
+			check: func(t *testing.T) {
+				s := rep.Sharing
+				if s == nil {
+					t.Fatal("sharing summary missing from a sharing-enabled report")
+				}
+				if bad := s.Conserved(); bad != "" {
+					t.Fatalf("sharing conservation violated: %s", bad)
+				}
+				if s.Masters != len(rep.Cores) {
+					t.Fatalf("sharing tracks %d masters, platform has %d cores", s.Masters, len(rep.Cores))
+				}
+				if len(s.Lines) == 0 || len(s.Matrix) == 0 || len(s.Heatmap.Windows) == 0 {
+					t.Fatalf("sharing summary empty on a contended WCS run: %d lines, %d cells, %d windows",
+						len(s.Lines), len(s.Matrix), len(s.Heatmap.Windows))
+				}
+				if res.Sharing == nil || res.Sharing.Totals != s.Totals {
+					t.Fatal("Result.Sharing and report sharing disagree")
+				}
+				// The scheduler telemetry (added with v6) rides the metrics
+				// section: an event-scheduled metrics run carries sched.*.
+				if rep.Metrics != nil {
+					if _, ok := rep.Metrics.Counters["sched.wakes"]; !ok {
+						t.Errorf("sched.wakes counter missing from metrics: %v", rep.Metrics.Counters)
+					}
+					if _, ok := rep.Metrics.Histograms["sched.skip.cycles"]; !ok {
+						t.Error("sched.skip.cycles histogram missing from metrics")
+					}
+				}
+			},
+		},
 	}
-	if _, ok := raw["profile"]; !ok {
-		t.Error("v3 report missing the profile section")
-	}
-	// The profile section must uphold the conservation invariant against
-	// the cores section of the same report.
-	if rep.Profile == nil || len(rep.Profile.Cores) != len(rep.Cores) {
-		t.Fatalf("profile covers %d cores, report has %d", len(rep.Profile.Cores), len(rep.Cores))
-	}
-	for i, cs := range rep.Profile.Cores {
-		var sum uint64
-		for _, n := range cs.Causes {
-			sum += n
-		}
-		if sum != rep.Cores[i].CPU.StallCycles || sum != cs.StallCycles {
-			t.Errorf("core %d: causes sum %d, profile stall_cycles %d, cpu stall_cycles %d",
-				i, sum, cs.StallCycles, rep.Cores[i].CPU.StallCycles)
-		}
-	}
-	if len(res.StallSpans) == 0 {
-		t.Error("no stall spans captured on a profiled run")
-	}
-}
-
-// TestReportV3FieldsStable guards v3 consumers across the later bumps: the
-// "profile" and "trace_dropped" keys are unchanged and the v4 addition is
-// the separate "critical_path" section whose attribution partitions the
-// run's cycles exactly and passes the profile-ledger cross-check.
-func TestReportV3FieldsStable(t *testing.T) {
-	_, res, rep := runWCSReport(t)
-	var buf bytes.Buffer
-	if err := WriteReport(&buf, rep); err != nil {
-		t.Fatal(err)
-	}
-	var raw map[string]json.RawMessage
-	if err := json.Unmarshal(buf.Bytes(), &raw); err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range []string{"profile", "critical_path"} {
-		if _, ok := raw[f]; !ok {
-			t.Errorf("field %q missing from v%d report", f, ReportSchemaVersion)
-		}
-	}
-	var version int
-	if err := json.Unmarshal(raw["schema_version"], &version); err != nil || version != ReportSchemaVersion {
-		t.Errorf("schema_version = %d (%v), want %d", version, err, ReportSchemaVersion)
-	}
-	cp := rep.CriticalPath
-	if cp == nil {
-		t.Fatal("critical_path missing from a spans-enabled report")
-	}
-	if cp.CrossCheckError != "" {
-		t.Fatalf("critical path failed the profile-ledger cross-check: %s", cp.CrossCheckError)
-	}
-	if cp.TotalCycles != res.Cycles || cp.CyclesAttributed() != res.Cycles {
-		t.Fatalf("critical path attributes %d of %d cycles (reports %d total)",
-			cp.CyclesAttributed(), res.Cycles, cp.TotalCycles)
-	}
-	if len(cp.TopTransactions) == 0 {
-		t.Error("no top blocking transactions on a contended WCS run")
-	}
-}
-
-// TestReportV4FieldsStable guards v4 consumers across the v5 bump: every
-// v1–v4 key is byte-stable (present under its old name), and the v5
-// additions are the separate "cohorts" and "manifest" sections — the cohort
-// partition conserved against the run's cycle count and the manifest carrying
-// exactly what runWCSReport pinned.
-func TestReportV4FieldsStable(t *testing.T) {
-	_, res, rep := runWCSReport(t)
-	var buf bytes.Buffer
-	if err := WriteReport(&buf, rep); err != nil {
-		t.Fatal(err)
-	}
-	var raw map[string]json.RawMessage
-	if err := json.Unmarshal(buf.Bytes(), &raw); err != nil {
-		t.Fatal(err)
-	}
-	v4Fields := []string{
-		"schema", "schema_version", "scenario", "solution", "platform",
-		"effective_protocol", "cycles", "bus_cycles", "stop_reason",
-		"deadlocked", "coherent", "bus", "cores", "metrics", "audit",
-		"profile", "critical_path",
-	}
-	for _, f := range v4Fields {
-		if _, ok := raw[f]; !ok {
-			t.Errorf("v4 field %q missing from v%d report", f, ReportSchemaVersion)
-		}
-	}
-	for _, f := range []string{"cohorts", "manifest"} {
-		if _, ok := raw[f]; !ok {
-			t.Errorf("v5 field %q missing", f)
-		}
-	}
-	co := rep.Cohorts
-	if co == nil {
-		t.Fatal("cohorts missing from a spans-enabled report")
-	}
-	if !co.Conserved() {
-		t.Fatalf("cohort partition not conserved: %+v", co)
-	}
-	if co.TotalCycles != res.Cycles {
-		t.Fatalf("cohorts partition %d cycles, run took %d", co.TotalCycles, res.Cycles)
-	}
-	if rep.CriticalPath != nil && co.Anchor != rep.CriticalPath.Core {
-		t.Fatalf("cohort anchor %d != critical-path core %d", co.Anchor, rep.CriticalPath.Core)
-	}
-	if len(co.Cohorts) == 0 {
-		t.Error("no cohorts on a contended WCS run")
-	}
-	m := rep.Manifest
-	if m == nil || m.SchemaVersion != ReportSchemaVersion || m.GoVersion != "go0.0-golden" {
-		t.Fatalf("manifest not stamped as pinned: %+v", m)
-	}
-	// The written report must read back through ReadReport.
-	back, err := ReadReport(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("ReadReport rejected its own output: %v", err)
-	}
-	if back.Cycles != res.Cycles || !back.Cohorts.Conserved() {
-		t.Fatalf("round-tripped report drifted: %d cycles, conserved=%v", back.Cycles, back.Cohorts.Conserved())
-	}
-	if diff := m.Diff(back.Manifest); len(diff) != 0 {
-		t.Fatalf("manifest drifted through the round trip: %v", diff)
-	}
-}
-
-// TestReportV5FieldsStable guards v5 consumers across the v6 bump: every
-// v1–v5 key is present under its old name, and the v6 addition is the
-// separate "sharing" section, conserved against its own event-stream totals
-// with every touched line in exactly one class.
-func TestReportV5FieldsStable(t *testing.T) {
-	_, res, rep := runWCSReport(t)
-	var buf bytes.Buffer
-	if err := WriteReport(&buf, rep); err != nil {
-		t.Fatal(err)
-	}
-	var raw map[string]json.RawMessage
-	if err := json.Unmarshal(buf.Bytes(), &raw); err != nil {
-		t.Fatal(err)
-	}
-	v5Fields := []string{
-		"schema", "schema_version", "scenario", "solution", "platform",
-		"effective_protocol", "cycles", "bus_cycles", "stop_reason",
-		"deadlocked", "coherent", "bus", "cores", "metrics", "audit",
-		"profile", "critical_path", "cohorts", "manifest",
-	}
-	for _, f := range v5Fields {
-		if _, ok := raw[f]; !ok {
-			t.Errorf("v5 field %q missing from v%d report", f, ReportSchemaVersion)
-		}
-	}
-	if _, ok := raw["sharing"]; !ok {
-		t.Error("v6 sharing section missing from a sharing-enabled report")
-	}
-	s := rep.Sharing
-	if s == nil {
-		t.Fatal("sharing summary missing from a sharing-enabled report")
-	}
-	if bad := s.Conserved(); bad != "" {
-		t.Fatalf("sharing conservation violated: %s", bad)
-	}
-	if s.Masters != len(rep.Cores) {
-		t.Fatalf("sharing tracks %d masters, platform has %d cores", s.Masters, len(rep.Cores))
-	}
-	if len(s.Lines) == 0 || len(s.Matrix) == 0 || len(s.Heatmap.Windows) == 0 {
-		t.Fatalf("sharing summary empty on a contended WCS run: %d lines, %d cells, %d windows",
-			len(s.Lines), len(s.Matrix), len(s.Heatmap.Windows))
-	}
-	if res.Sharing == nil || res.Sharing.Totals != s.Totals {
-		t.Fatal("Result.Sharing and report sharing disagree")
-	}
-	// The scheduler telemetry (same PR) rides the metrics section: an
-	// event-scheduled metrics run must carry the sched.* counters.
-	if rep.Metrics != nil {
-		if _, ok := rep.Metrics.Counters["sched.wakes"]; !ok {
-			t.Errorf("sched.wakes counter missing from metrics: %v", rep.Metrics.Counters)
-		}
-		if _, ok := rep.Metrics.Histograms["sched.skip.cycles"]; !ok {
-			t.Error("sched.skip.cycles histogram missing from metrics")
-		}
+	var keys []string
+	for i, row := range rows {
+		version := i + 1
+		keys = append(keys, row.keys...)
+		t.Run(fmt.Sprintf("v%d", version), func(t *testing.T) {
+			for _, f := range keys {
+				if _, ok := raw[f]; !ok {
+					t.Errorf("v%d field %q missing from v%d report", version, f, ReportSchemaVersion)
+				}
+			}
+			for _, f := range row.next {
+				if _, ok := raw[f]; !ok {
+					t.Errorf("v%d field %q missing", version+1, f)
+				}
+			}
+			row.check(t)
+		})
 	}
 }
 
@@ -420,10 +372,10 @@ func TestReportAuditContent(t *testing.T) {
 }
 
 // TestReportMetricsContent checks the acceptance-criteria content: the three
-// headline histograms populated with non-zero quantiles, and a multi-window
-// bus-utilization series.
+// headline histograms populated with non-zero quantiles, a multi-window
+// bus-utilization series, and bus-tenure lanes inside the run.
 func TestReportMetricsContent(t *testing.T) {
-	_, res, rep := runWCSReport(t)
+	p, res, rep := runWCSReport(t)
 	if rep.Metrics == nil {
 		t.Fatal("metrics missing from report")
 	}
@@ -445,11 +397,18 @@ func TestReportMetricsContent(t *testing.T) {
 			t.Fatalf("utilization %v out of range at cycle %d", pt.Value, pt.Cycle)
 		}
 	}
-	if len(res.Tenures) == 0 {
-		t.Fatal("no bus tenures captured")
+	var last *chrometrace.Event
+	for _, e := range chrometrace.FromTxns(p.Spans(), BusClockDiv, res.Cycles, p.MasterName) {
+		if e.Ph == "X" && e.Pid == chrometrace.PidBus {
+			e := e
+			last = &e
+		}
 	}
-	last := res.Tenures[len(res.Tenures)-1]
-	if last.End <= last.Start || last.End > res.Cycles {
+	if last == nil {
+		t.Fatal("no bus tenure lanes drawn from the span collector")
+	}
+	end := (last.Ts + *last.Dur) * chrometrace.EngineCyclesPerMicrosecond
+	if *last.Dur <= 0 || end > float64(res.Cycles)+1e-6 {
 		t.Fatalf("tenure span out of range: %+v (run %d cycles)", last, res.Cycles)
 	}
 }

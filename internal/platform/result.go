@@ -120,10 +120,6 @@ type Result struct {
 
 	// Metrics is the final registry snapshot (nil unless Config.Metrics).
 	Metrics *metrics.Snapshot
-	// Tenures lists the bus tenure spans observed during the run (captured
-	// only when Config.Metrics is on; bounded, see maxTenures).  The
-	// Chrome-trace exporter turns them into duration events.
-	Tenures []bus.Tenure
 	// Audit is the invariant auditor's summary: violations, events by kind,
 	// observed reachable states per core, per-line transition counts (nil
 	// unless Config.Audit).
@@ -218,7 +214,6 @@ func (p *Platform) Run(maxCycles uint64) Result {
 	}
 	if p.Metrics != nil {
 		res.Metrics = p.Metrics.Snapshot()
-		res.Tenures = p.tenures
 	}
 	if p.auditor != nil {
 		s := p.auditor.Summary()

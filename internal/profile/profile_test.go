@@ -18,10 +18,12 @@ func TestNilLedgerIsSafe(t *testing.T) {
 	l.StallDrain(0)
 	l.StallEnd(0)
 	l.NoteInvalMiss(0)
+	l.Arm(0, 0, 1)
+	l.Disarm(0)
 	l.StallTick(0, 10)
 	l.HandleEvent(&event.Record{Kind: event.BusRequest})
 	l.Finish()
-	if l.Enabled() || l.Spans() != nil || l.Total(0) != 0 || l.Count(0, CauseArb) != 0 {
+	if l.Spans() != nil || l.Total(0) != 0 || l.Count(0, CauseArb) != 0 {
 		t.Fatal("nil ledger misbehaves")
 	}
 	if s := l.Summary(); len(s.Cores) != 0 {
@@ -58,8 +60,9 @@ func drive(l *Ledger, kind event.Kind, busKind bus.Kind, drain bool) {
 // TestAccessCauseFollowsBusPhase walks one fill transaction through its
 // phases and checks each stalled tick lands in the matching bucket.
 func TestAccessCauseFollowsBusPhase(t *testing.T) {
-	l := NewLedger(1)
+	l := NewLedger(1, nil)
 	l.StallAccess(0)
+	l.Arm(0, 0, 1)
 
 	l.StallTick(0, 1) // no transaction visible yet: unclassified
 	drive(l, event.BusRequest, bus.ReadLine, false)
@@ -87,8 +90,9 @@ func TestAccessCauseFollowsBusPhase(t *testing.T) {
 // TestWriteBackPhasesCountAsDrain checks a queued or granted write-back
 // attributes the wait to the drain bucket, not arbitration/refill.
 func TestWriteBackPhasesCountAsDrain(t *testing.T) {
-	l := NewLedger(1)
+	l := NewLedger(1, nil)
 	l.StallAccess(0)
+	l.Arm(0, 0, 1)
 	drive(l, event.BusRequest, bus.WriteLine, false) // eviction WB queued
 	drive(l, event.BusRequest, bus.ReadLine, false)  // fill queued behind it
 	l.StallTick(0, 1)                                // arb with a pending WB: drain
@@ -112,10 +116,11 @@ func TestWriteBackPhasesCountAsDrain(t *testing.T) {
 // phase for the whole stall, is consumed by the stall end, and may arrive
 // before the stall class is set.
 func TestInvalMissAttribution(t *testing.T) {
-	l := NewLedger(1)
+	l := NewLedger(1, nil)
 	// Controller classifies the miss before the CPU observes Pending.
 	l.NoteInvalMiss(0)
 	l.StallAccess(0)
+	l.Arm(0, 0, 1)
 	drive(l, event.BusRequest, bus.ReadLine, false)
 	l.StallTick(0, 1)
 	drive(l, event.BusGrant, bus.ReadLine, false)
@@ -127,6 +132,7 @@ func TestInvalMissAttribution(t *testing.T) {
 	}
 	// The next ordinary stall must not inherit the flag.
 	l.StallAccess(0)
+	l.Arm(0, 9, 1)
 	drive(l, event.BusRequest, bus.ReadLine, false)
 	l.StallTick(0, 10)
 	l.StallEnd(0)
@@ -138,14 +144,16 @@ func TestInvalMissAttribution(t *testing.T) {
 // TestLockAndDrainClassesDominate checks the CPU-side class overrides the
 // bus phase entirely.
 func TestLockAndDrainClassesDominate(t *testing.T) {
-	l := NewLedger(1)
+	l := NewLedger(1, nil)
 	l.StallLock(0)
+	l.Arm(0, 0, 1)
 	drive(l, event.BusRequest, bus.RMWWord, false)
 	drive(l, event.BusGrant, bus.RMWWord, false)
 	l.StallTick(0, 1)
 	l.StallEnd(0)
 	drive(l, event.BusComplete, bus.RMWWord, false)
 	l.StallDrain(0)
+	l.Arm(0, 1, 1)
 	l.StallTick(0, 2)
 	l.StallEnd(0)
 	if l.Count(0, CauseLock) != 1 || l.Count(0, CauseDrain) != 1 {
@@ -156,12 +164,14 @@ func TestLockAndDrainClassesDominate(t *testing.T) {
 // TestSpans checks contiguous same-cause runs coalesce, cause changes split,
 // and Finish closes the trailing span.
 func TestSpans(t *testing.T) {
-	l := NewLedger(2)
+	l := NewLedger(2, nil)
 	l.StallLock(0)
+	l.Arm(0, 8, 2)
 	l.StallTick(0, 10)
-	l.StallTick(0, 12) // same cause: extends, clock-divided gaps tolerated
+	l.StallTick(0, 12) // same cause: extends across the clock-divided gap
 	l.StallEnd(0)
 	l.StallDrain(1)
+	l.Arm(1, 10, 1)
 	l.StallTick(1, 11)
 	l.Finish()
 
@@ -180,11 +190,12 @@ func TestSpans(t *testing.T) {
 // TestSpanBound checks the retention bound drops spans (never counts) and
 // reports the loss.
 func TestSpanBound(t *testing.T) {
-	l := NewLedger(1)
+	l := NewLedger(1, nil)
 	l.maxSpans = 2
 	for i := 0; i < 4; i++ {
 		l.StallLock(0)
-		l.StallTick(0, uint64(10*i))
+		l.Arm(0, uint64(10*i), 1)
+		l.StallTick(0, uint64(10*i+1))
 		l.StallEnd(0)
 	}
 	if got := len(l.Spans()); got != 2 {
@@ -202,12 +213,14 @@ func TestSpanBound(t *testing.T) {
 // TestSummaryAndFolded checks the summary arithmetic and the folded-stack
 // rendering (core;cause count, display order, zero causes omitted).
 func TestSummaryAndFolded(t *testing.T) {
-	l := NewLedger(2)
+	l := NewLedger(2, nil)
 	l.StallLock(0)
+	l.Arm(0, 0, 1)
 	l.StallTick(0, 1)
 	l.StallTick(0, 2)
 	l.StallEnd(0)
 	l.StallDrain(1)
+	l.Arm(1, 2, 1)
 	l.StallTick(1, 3)
 	l.Finish()
 
@@ -242,8 +255,9 @@ type failWriter struct{}
 func (failWriter) Write([]byte) (int, error) { return 0, errors.New("disk full") }
 
 func TestWriteFoldedPropagatesErrors(t *testing.T) {
-	l := NewLedger(1)
+	l := NewLedger(1, nil)
 	l.StallLock(0)
+	l.Arm(0, 0, 1)
 	l.StallTick(0, 1)
 	l.Finish()
 	if err := WriteFolded(failWriter{}, l.Summary(), nil); err == nil {
@@ -254,10 +268,11 @@ func TestWriteFoldedPropagatesErrors(t *testing.T) {
 // TestOutOfRangeCoresIgnored checks events and hooks for masters beyond the
 // core range (the DMA engine) are ignored, not crashed on.
 func TestOutOfRangeCoresIgnored(t *testing.T) {
-	l := NewLedger(1)
+	l := NewLedger(1, nil)
 	l.HandleEvent(&event.Record{Kind: event.BusRequest, Core: 5})
 	l.HandleEvent(&event.Record{Kind: event.BusRequest, Core: -1})
 	l.StallAccess(7)
+	l.Arm(7, 0, 1)
 	l.StallTick(7, 1)
 	l.StallEnd(7)
 	if l.Total(0) != 0 {

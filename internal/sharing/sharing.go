@@ -302,9 +302,6 @@ func NewCollector(cfg Config) *Collector {
 	}
 }
 
-// Enabled reports whether the collector records anything (false for nil).
-func (c *Collector) Enabled() bool { return c != nil }
-
 // line resolves (creating if within bounds) the state for a line base.
 // Returns nil when the line bound is exhausted; callers then account into
 // the overflow bucket.

@@ -151,9 +151,6 @@ func (h *Handle) Now() uint64 { return h.e.now }
 // Div returns the component's clock divisor.
 func (h *Handle) Div() uint64 { return h.e.regs[h.idx].div }
 
-// Evented reports whether the event scheduler is in force.
-func (h *Handle) Evented() bool { return h.e.event }
-
 // Wake schedules the component to be ticked at engine cycle at (no-op in
 // tick mode).  The cycle is clamped into feasibility — during the evaluation
 // pass for cycle T, a component already evaluated this pass can be woken no

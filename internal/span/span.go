@@ -161,9 +161,6 @@ func NewCollector(lineBytes int) *Collector {
 	}
 }
 
-// Enabled reports whether the collector records anything (false for nil).
-func (c *Collector) Enabled() bool { return c != nil }
-
 // Dropped counts transactions discarded beyond the retention bound.
 func (c *Collector) Dropped() uint64 {
 	if c == nil {

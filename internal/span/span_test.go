@@ -30,7 +30,7 @@ func TestNilCollectorIsSafe(t *testing.T) {
 	var c *Collector
 	c.HandleEvent(&event.Record{Kind: event.BusRequest, Txn: 1})
 	c.Finish(nil, 100)
-	if c.Enabled() || c.Txns() != nil || c.Links() != nil || c.Edges() != nil || c.Dropped() != 0 {
+	if c.Txns() != nil || c.Links() != nil || c.Edges() != nil || c.Dropped() != 0 {
 		t.Fatal("nil collector misbehaves")
 	}
 	if err := c.WriteJSONL(&strings.Builder{}, nil); err != nil {
