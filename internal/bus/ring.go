@@ -6,7 +6,8 @@ package bus
 // plain slice that re-prepend copied the whole queue every retry (O(n) per
 // ARTRY, fresh garbage each time).  The ring makes pushFront/popFront O(1)
 // with no steady-state allocation: the backing array grows to the high-water
-// mark of queued work and is reused forever after.
+// mark of queued work and is reused forever after.  The capacity is always a
+// power of two, so indices wrap with a mask rather than a modulo.
 type pendingRing struct {
 	buf  []pending
 	head int
@@ -16,12 +17,15 @@ type pendingRing struct {
 func (q *pendingRing) len() int { return q.n }
 
 // at returns the i-th queued entry (0 = head).  i must be < q.n.
-func (q *pendingRing) at(i int) *pending { return &q.buf[(q.head+i)%len(q.buf)] }
+func (q *pendingRing) at(i int) *pending { return &q.buf[(q.head+i)&(len(q.buf)-1)] }
 
 func (q *pendingRing) grow() {
 	newCap := 2 * len(q.buf)
 	if newCap == 0 {
 		newCap = 8
+	}
+	if newCap&(newCap-1) != 0 {
+		panic("bus: pending ring capacity is not a power of two")
 	}
 	nb := make([]pending, newCap)
 	for i := 0; i < q.n; i++ {
@@ -34,7 +38,7 @@ func (q *pendingRing) pushBack(p pending) {
 	if q.n == len(q.buf) {
 		q.grow()
 	}
-	q.buf[(q.head+q.n)%len(q.buf)] = p
+	q.buf[(q.head+q.n)&(len(q.buf)-1)] = p
 	q.n++
 }
 
@@ -42,7 +46,7 @@ func (q *pendingRing) pushFront(p pending) {
 	if q.n == len(q.buf) {
 		q.grow()
 	}
-	q.head = (q.head - 1 + len(q.buf)) % len(q.buf)
+	q.head = (q.head - 1) & (len(q.buf) - 1)
 	q.buf[q.head] = p
 	q.n++
 }
@@ -50,7 +54,7 @@ func (q *pendingRing) pushFront(p pending) {
 func (q *pendingRing) popFront() pending {
 	p := *q.at(0)
 	*q.at(0) = pending{} // drop references so completed work is collectable
-	q.head = (q.head + 1) % len(q.buf)
+	q.head = (q.head + 1) & (len(q.buf) - 1)
 	q.n--
 	return p
 }
