@@ -1,6 +1,10 @@
 package periph
 
-import "strings"
+import (
+	"strings"
+
+	"hetcc/internal/sim"
+)
 
 // Timer register offsets.
 const (
@@ -20,11 +24,11 @@ type Timer struct {
 	ctrl    uint32
 	compare uint32
 
-	// Event-scheduler support (see SetEventClock): instead of being ticked
+	// Event-scheduler support (see BindScheduler): instead of being ticked
 	// on every peripheral-clock edge, the timer counts its skipped edges in
 	// bulk whenever the count could be observed.  edgesSeen is the number of
 	// peripheral-clock edges already applied; div the engine-cycle divisor.
-	clock     func() uint64
+	sched     *sim.Handle
 	div       uint64
 	edgesSeen uint64
 }
@@ -38,17 +42,17 @@ func (t *Timer) Name() string { return "timer" }
 // Size implements Device.
 func (t *Timer) Size() uint32 { return 12 }
 
-// SetEventClock switches the timer to lazy edge accounting for the event
-// scheduler: clock reads the current engine cycle and div is the timer's
-// engine-cycle divisor.  Leave it unset under the tick scheduler.
-func (t *Timer) SetEventClock(clock func() uint64, div uint64) {
-	t.clock = clock
-	t.div = div
+// BindScheduler switches the timer to lazy edge accounting for the event
+// scheduler: h is the timer's registration handle.  Leave it unbound under
+// the tick scheduler.
+func (t *Timer) BindScheduler(h *sim.Handle) {
+	t.sched = h
+	t.div = h.Div()
 }
 
 // Tick advances the counter when enabled (platform clock callback).
 func (t *Timer) Tick(now uint64) {
-	if t.clock != nil {
+	if t.sched != nil {
 		t.syncEdges(now)
 		return
 	}
@@ -64,7 +68,7 @@ func (t *Timer) NextWake(uint64) (uint64, bool) { return 0, false }
 // CatchUp implements sim.CatchUpper: apply every peripheral-clock edge at
 // engine cycles <= through.
 func (t *Timer) CatchUp(through uint64) {
-	if t.clock != nil {
+	if t.sched != nil {
 		t.syncEdges(through)
 	}
 }
@@ -85,16 +89,15 @@ func (t *Timer) syncEdges(x uint64) {
 	t.edgesSeen = target
 }
 
-// syncExternal brings the counter current for a register access: the bus
-// delivers the access before the timer's own edge on the same engine cycle
-// (the timer registers after the bus), so only edges on earlier cycles are
-// applied.
+// syncExternal brings the counter current for a register access, through
+// the horizon of the accessing component's position: the bus registers
+// before the timer, so its accesses see only edges on earlier cycles.
 func (t *Timer) syncExternal() {
-	if t.clock == nil {
+	if t.sched == nil {
 		return
 	}
-	if x := t.clock(); x > 0 {
-		t.syncEdges(x - 1)
+	if through, ok := t.sched.Horizon(); ok {
+		t.syncEdges(through)
 	}
 }
 

@@ -401,7 +401,7 @@ func Build(cfg Config) (*Platform, error) {
 	busHandle := engine.Register("bus", BusClockDiv, b)
 	// The peripheral clock runs at half the bus clock.
 	timerDiv := BusClockDiv * 2
-	engine.Register("timer", timerDiv, p.Timer)
+	timerHandle := engine.Register("timer", timerDiv, p.Timer)
 	var dmaHandle *sim.Handle
 	if p.DMA != nil {
 		dmaHandle = engine.Register("dma", BusClockDiv, p.DMA)
@@ -452,8 +452,8 @@ func Build(cfg Config) (*Platform, error) {
 		for i, c := range p.CPUs {
 			c.BindScheduler(cpuHandles[i])
 		}
-		b.BindScheduler(busHandle, engine.Now)
-		p.Timer.SetEventClock(engine.Now, timerDiv)
+		b.BindScheduler(busHandle)
+		p.Timer.BindScheduler(timerHandle)
 		if p.DMA != nil {
 			p.DMA.BindScheduler(dmaHandle)
 		}
