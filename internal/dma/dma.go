@@ -117,9 +117,9 @@ func (e *Engine) BindScheduler(h *sim.Handle) { e.sched = h }
 // a transfer in progress with no bus transaction in flight (the tick
 // submits the next line read or write).  Otherwise it sleeps until a
 // register write starts a transfer or a bus callback advances the phase.
-func (e *Engine) NextWake(now uint64) (uint64, bool) {
+func (e *Engine) NextWake(uint64) (uint64, bool) {
 	if e.Busy() && !e.pending {
-		return now + e.sched.Div(), true
+		return 1, true
 	}
 	return 0, false
 }

@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// periodicWaker ticks, then asks to be woken period cycles later, stopping
-// the engine after limit ticks.
+// periodicWaker ticks, then asks to be woken period edges (cycles, at divisor
+// 1) later, stopping the engine after limit ticks.
 type periodicWaker struct {
 	e      *Engine
 	period uint64
@@ -21,7 +21,7 @@ func (p *periodicWaker) Tick(now uint64) {
 	}
 }
 
-func (p *periodicWaker) NextWake(now uint64) (uint64, bool) { return now + p.period, true }
+func (p *periodicWaker) NextWake(uint64) (uint64, bool) { return p.period, true }
 
 // TestSchedStats pins the event scheduler's telemetry on a fully predictable
 // workload: one component waking every 8 cycles makes every counter exact.
