@@ -122,17 +122,24 @@ func BatchDigest(results []BatchResult) (string, error) {
 	return runner.CombineDigests(digests), nil
 }
 
-// BatchFirstError returns the lowest-index failure of a batch — either a
-// dispatch error (BatchResult.Err) or a simulation failure (Result.Err) — or
-// nil.  Index order makes the reported error identical to what a sequential
-// sweep would have hit first.
+// BatchFirstError returns the lowest-index failure of a batch, or nil.  A
+// run fails on a dispatch error (BatchResult.Err), a simulation failure
+// (Result.Err), a golden-model stale read (with Verify) or an invariant
+// violation (with Audit).  Index order makes the reported error identical to
+// what a sequential sweep would have hit first.
 func BatchFirstError(results []BatchResult) error {
 	for _, r := range results {
-		if r.Err != nil {
+		res := r.Result
+		switch {
+		case r.Err != nil:
 			return r.Err
-		}
-		if r.Result.Err != nil {
-			return fmt.Errorf("hetcc: batch run %q: %w", r.Label, r.Result.Err)
+		case res.Err != nil:
+			return fmt.Errorf("hetcc: batch run %q: %w", r.Label, res.Err)
+		case len(res.Violations) > 0:
+			return fmt.Errorf("hetcc: batch run %q: coherence violation: %v", r.Label, res.Violations[0])
+		case res.Audit != nil && res.Audit.ViolationCount > 0:
+			return fmt.Errorf("hetcc: batch run %q: %d invariant violation(s), first: %v",
+				r.Label, res.Audit.ViolationCount, res.Audit.Violations[0])
 		}
 	}
 	return nil

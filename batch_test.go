@@ -230,6 +230,40 @@ func TestBatchErrorHandling(t *testing.T) {
 	}
 }
 
+// TestBatchFirstErrorCoherence: a run that completes but breaks coherence
+// fails the batch.  PF3 without the wrappers is the Tables 2/3 defect at
+// scale: the golden model sees stale reads (Verify) and the auditor sees
+// invariant violations (Audit), while Err and Result.Err stay nil.
+func TestBatchFirstErrorCoherence(t *testing.T) {
+	cases := []struct {
+		name          string
+		verify, audit bool
+		want          string
+	}{
+		{"verify", true, false, "coherence violation"},
+		{"audit", false, true, "invariant violation"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			results := hetcc.RunBatch([]hetcc.BatchSpec{{Label: "unwrapped", Config: hetcc.Config{
+				Scenario:        hetcc.WCS,
+				Solution:        hetcc.Proposed,
+				Processors:      platform.PPCI486(),
+				DisableWrappers: true,
+				Verify:          c.verify,
+				Audit:           c.audit,
+			}}}, hetcc.BatchOptions{Jobs: 1})
+			if r := results[0]; r.Err != nil || r.Result.Err != nil {
+				t.Fatalf("run failed outright: %v / %v", r.Err, r.Result.Err)
+			}
+			err := hetcc.BatchFirstError(results)
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("BatchFirstError = %v, want a %q failure", err, c.want)
+			}
+		})
+	}
+}
+
 // TestBatchGoldenDigests pins the jobs=1 report digests of the full
 // 27-combination matrix (platform × scenario × solution, schema-v6 reports
 // with audit, profile, critical-path and cohort sections) against a committed golden

@@ -1,23 +1,26 @@
 // Command experiments regenerates every table and figure of the paper's
 // evaluation section (DATE 2004) from the simulator, printing the same
-// rows/series the paper reports.
+// rows/series the paper reports, and sweeps the timing model's calibrated
+// constants to show which conclusions are robust to calibration.
 //
 // Usage:
 //
-//	experiments                 # everything
+//	experiments                 # every table and figure
 //	experiments -fig 6          # one figure (5, 6, 7 or 8)
 //	experiments -table 2        # one table (1, 2, 3 or 4)
 //	experiments -sharing        # sharing-pattern characterisation of the scenarios
+//	experiments -sweep isr      # one calibration sweep: isr, wrapper, drain, access, clock, cache, words, pipeline
+//	experiments -sweep all      # every calibration sweep (PF2 only)
 //	experiments -format csv     # machine-readable output
 //	experiments -iterations 16  # longer runs
 //	experiments -jobs 8         # fan the run matrix across 8 workers
 //
-// The figure sweeps fan out across -jobs workers (default: all CPUs) on the
-// deterministic batch executor (internal/runner); results are aggregated in
-// sweep order, so stdout is byte-identical whatever the worker count.  The
+// The figures and sweeps fan out across -jobs workers (default: all CPUs) on
+// the deterministic batch executor (internal/runner); results are aggregated
+// in sweep order, so stdout is byte-identical whatever the worker count.  The
 // elapsed wall clock is reported on stderr.  Any coherence violation — a
 // golden-model stale read, or an invariant-auditor violation under -audit —
-// makes the command exit non-zero.
+// makes the command exit non-zero, and so does any bad flag value.
 package main
 
 import (
@@ -31,6 +34,7 @@ import (
 
 	"hetcc"
 	"hetcc/internal/platform"
+	"hetcc/internal/sharing"
 	"hetcc/internal/stats"
 )
 
@@ -42,11 +46,12 @@ var (
 	seed        = flag.Uint64("seed", 0, "workload seed")
 	verify      = flag.Bool("verify", true, "run the golden-model checker in every simulation")
 	auditFlag   = flag.Bool("audit", false, "run the online invariant auditor in every simulation; violations exit non-zero")
-	jobs        = flag.Int("jobs", runtime.NumCPU(), "parallel simulation workers for the figure sweeps")
+	jobs        = flag.Int("jobs", runtime.NumCPU(), "parallel simulation workers for the figures and sweeps")
 	platFlag    = flag.String("platform", "pf2", "evaluation platform: pf2 (PowerPC755+ARM920T, the paper's) or pf3 (PowerPC755+Intel486)")
 	reportFlag  = flag.String("report", "", "write a machine-readable JSON report of the regenerated figure points to this file")
 	schedFlag   = flag.String("scheduler", "", "engine scheduling strategy: event or tick (default: the library default; figures are identical either way)")
 	sharingFlag = flag.Bool("sharing", false, "characterise the sharing patterns of the three case-study scenarios under the proposed solution: per-line class census, false-sharing candidates and the master communication matrix")
+	sweepFlag   = flag.String("sweep", "", "run a calibration sweep of the PF2 timing model instead of the tables and figures: isr, wrapper, drain, access, clock, cache, words, pipeline or all")
 )
 
 // figureReport is the -report document: every figure point regenerated this
@@ -94,17 +99,29 @@ func main() {
 		fatalIf(fmt.Errorf("unknown platform %q (want pf2 or pf3)", *platFlag))
 	}
 
+	switch *format {
+	case "text", "csv", "md", "markdown":
+	default:
+		fatalIf(fmt.Errorf("unknown format %q (want text, csv or md)", *format))
+	}
+	var runSweeps []sweep
+	if *sweepFlag != "" {
+		if opts.Processors != nil {
+			fatalIf(fmt.Errorf("-sweep edits the PF2 ARM920T spec; it cannot run with -platform %s", *platFlag))
+		}
+		var err error
+		runSweeps, err = selectSweeps(*sweepFlag)
+		fatalIf(err)
+	}
 	if *figFlag != 0 && (*figFlag < 5 || *figFlag > 8) {
 		fatalIf(fmt.Errorf("-fig must be 5..8, got %d", *figFlag))
 	}
 	if *tableFlag != 0 && (*tableFlag < 1 || *tableFlag > 4) {
 		fatalIf(fmt.Errorf("-table must be 1..4, got %d", *tableFlag))
 	}
-	runAll := *figFlag == 0 && *tableFlag == 0 && !*sharingFlag
-	var err error
+	runAll := *figFlag == 0 && *tableFlag == 0 && !*sharingFlag && *sweepFlag == ""
 	if runAll || *tableFlag == 1 {
-		err = table1(out)
-		fatalIf(err)
+		table1(out)
 	}
 	if runAll || *tableFlag == 2 {
 		fatalIf(table23(out, 2))
@@ -113,7 +130,7 @@ func main() {
 		fatalIf(table23(out, 3))
 	}
 	if runAll || *tableFlag == 4 {
-		fatalIf(table4(out))
+		table4(out)
 	}
 	if runAll || *figFlag == 5 {
 		fatalIf(figure(out, 5, opts))
@@ -129,6 +146,9 @@ func main() {
 	}
 	if *sharingFlag {
 		fatalIf(sharingPatterns(out, opts))
+	}
+	for _, sw := range runSweeps {
+		fatalIf(runSweep(out, sw, opts))
 	}
 	if *reportFlag != "" {
 		report.Platform = *platFlag
@@ -157,13 +177,12 @@ func render(w io.Writer, t *stats.Table) {
 	fmt.Fprintln(w)
 }
 
-func table1(w io.Writer) error {
+func table1(w io.Writer) {
 	t := stats.NewTable("Table 1: heterogeneous platform classes", "class", "description", "example")
 	for _, row := range hetcc.Table1() {
 		t.AddRow(row.Class, row.Description, row.Example)
 	}
 	render(w, t)
-	return nil
 }
 
 func table23(w io.Writer, n int) error {
@@ -195,7 +214,7 @@ func table23(w io.Writer, n int) error {
 	return nil
 }
 
-func table4(w io.Writer) error {
+func table4(w io.Writer) {
 	info := hetcc.Table4()
 	t := stats.NewTable("Table 4: simulation environment", "parameter", "value")
 	t.AddRow("PowerPC755 clock", fmt.Sprintf("%d MHz", info.PowerPCClockMHz))
@@ -205,7 +224,6 @@ func table4(w io.Writer) error {
 	t.AddRow("memory access, 8-word burst", fmt.Sprintf("%d cycles", info.BurstCycles))
 	t.AddRow("cache line", fmt.Sprintf("%d bytes", info.LineBytes))
 	render(w, t)
-	return nil
 }
 
 func figure(w io.Writer, n int, opts hetcc.FigureOptions) error {
@@ -268,9 +286,6 @@ func figure8(w io.Writer, opts hetcc.FigureOptions) error {
 	return nil
 }
 
-// classOrder fixes the census column order (matches sharing.Class).
-var classOrder = []string{"private", "read-only", "producer-consumer", "migratory", "read-write"}
-
 // sharingPatterns runs the three case-study scenarios under the proposed
 // solution with the sharing collector and prints the per-line class census
 // and the master communication matrix — the workload-characterisation
@@ -289,7 +304,7 @@ func sharingPatterns(w io.Writer, opts hetcc.FigureOptions) error {
 				Scenario:   s,
 				Solution:   hetcc.Proposed,
 				Processors: procs,
-				Params:     hetcc.Params{Iterations: *iterations, Seed: *seed},
+				Params:     hetcc.Params{Iterations: opts.Iterations, Seed: opts.Seed},
 				Verify:     opts.Verify,
 				Audit:      opts.Audit,
 				Sharing:    true,
@@ -312,8 +327,8 @@ func sharingPatterns(w io.Writer, opts hetcc.FigureOptions) error {
 			return fmt.Errorf("sharing: %v conservation violated: %s", s, bad)
 		}
 		row := []any{s.String(), len(sum.Lines)}
-		for _, cl := range classOrder {
-			row = append(row, sum.ClassCounts[cl])
+		for cl := sharing.ClassPrivate; cl <= sharing.ClassReadWrite; cl++ {
+			row = append(row, sum.ClassCounts[cl.String()])
 		}
 		row = append(row, sum.FalseSharingLines)
 		census.AddRow(row...)

@@ -516,10 +516,7 @@ func printExplain(cp *span.CriticalPath) {
 // top-N hot lines and the master communication matrix.
 func printSharing(s *sharing.Summary, masterName func(int) string) {
 	var classes []string
-	for _, c := range []sharing.Class{
-		sharing.ClassPrivate, sharing.ClassReadOnly, sharing.ClassProducerConsumer,
-		sharing.ClassMigratory, sharing.ClassReadWrite,
-	} {
+	for c := sharing.ClassPrivate; c <= sharing.ClassReadWrite; c++ {
 		if n := s.ClassCounts[c.String()]; n > 0 {
 			classes = append(classes, fmt.Sprintf("%s %d", c.String(), n))
 		}

@@ -110,26 +110,6 @@ func figureSpec(s Scenario, sol Solution, execTime, lines int, o FigureOptions) 
 	}
 }
 
-// figureRunError turns a completed figure run into an error if it failed,
-// observed a stale read, or (when auditing) violated a coherence invariant.
-func figureRunError(r BatchResult) error {
-	if r.Err != nil {
-		return r.Err
-	}
-	res := r.Result
-	if res.Err != nil {
-		return fmt.Errorf("hetcc: %s: %w", r.Label, res.Err)
-	}
-	if len(res.Violations) > 0 {
-		return fmt.Errorf("hetcc: %s: coherence violation: %v", r.Label, res.Violations[0])
-	}
-	if res.Audit != nil && res.Audit.ViolationCount > 0 {
-		return fmt.Errorf("hetcc: %s: %d invariant violation(s), first: %v",
-			r.Label, res.Audit.ViolationCount, res.Audit.Violations[0])
-	}
-	return nil
-}
-
 // FigureRatios reproduces one of Figures 5–7: scenario s swept over
 // exec_time and line counts.  The sweep's runs execute on a worker pool of
 // opts.Jobs workers; points are assembled in sweep order.
@@ -147,10 +127,8 @@ func FigureRatios(s Scenario, opts FigureOptions) ([]RatioPoint, error) {
 		}
 	}
 	results := RunBatch(specs, BatchOptions{Jobs: o.Jobs})
-	for _, r := range results {
-		if err := figureRunError(r); err != nil {
-			return nil, err
-		}
+	if err := BatchFirstError(results); err != nil {
+		return nil, err
 	}
 	var out []RatioPoint
 	i := 0
@@ -237,10 +215,8 @@ func Figure8(penalties []int, opts FigureOptions) ([]PenaltyPoint, error) {
 		}
 	}
 	results := RunBatch(specs, BatchOptions{Jobs: o.Jobs})
-	for _, r := range results {
-		if err := figureRunError(r); err != nil {
-			return nil, err
-		}
+	if err := BatchFirstError(results); err != nil {
+		return nil, err
 	}
 	var out []PenaltyPoint
 	i := 0

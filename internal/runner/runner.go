@@ -1,6 +1,6 @@
 // Package runner is the deterministic parallel batch executor behind every
-// multi-run driver (cmd/experiments, protocheck -audit, cmd/sensitivity, the
-// audited fuzz sweep): it fans a slice of independent tasks across a bounded
+// multi-run driver (cmd/experiments with its figures and sweeps, protocheck
+// -audit, the audited fuzz sweep): it fans a slice of independent tasks across a bounded
 // worker pool and returns their outcomes in submission order, so aggregated
 // output is byte-identical regardless of worker count.
 //

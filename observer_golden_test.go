@@ -60,7 +60,7 @@ func checkGoldenDigests(t *testing.T, path string, got goldenDigests) {
 // traceRuns are the text-trace golden's runs: WCS under the proposed
 // solution on the three case-study platforms, plus the PF2 cached
 // test-and-set run that ends in the paper's hardware deadlock (the
-// examples/armdeadlock configuration), so the deadlock line is pinned too.
+// Example_armdeadlock configuration), so the deadlock line is pinned too.
 func traceRuns(scheduler string) []hetcc.BatchSpec {
 	base := hetcc.Config{
 		Scenario:  hetcc.WCS,
