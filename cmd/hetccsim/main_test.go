@@ -16,7 +16,7 @@ import (
 	"hetcc/internal/platform"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/chrometrace_digests.json")
+var updateGolden = flag.Bool("update", false, "rewrite testdata/chrometrace_digests.json and testdata/spans_digests.json")
 
 // runMainEnv marks a re-executed test binary that must run hetccsim's main()
 // with its command-line arguments instead of the tests.
@@ -65,30 +65,52 @@ var chromeTraceRuns = []struct {
 	{"pf2/WCS/proposed/cached-tas", []string{"-platform", "ppc-arm", "-scenario", "wcs", "-solution", "proposed", "-lock", "cached-tas"}, 1},
 }
 
-// TestChromeTraceGolden pins the -chrometrace file byte for byte, as a
-// SHA-256 per run and scheduler in testdata/chrometrace_digests.json.
+// TestChromeTraceGolden pins the -chrometrace file and the -spans JSONL
+// (the txn and stall rows) byte for byte, as a SHA-256 per run and scheduler
+// in testdata/chrometrace_digests.json and testdata/spans_digests.json.
 // Regenerate after an intended change with
 //
 //	go test ./cmd/hetccsim -run TestChromeTraceGolden -update
 func TestChromeTraceGolden(t *testing.T) {
-	got := map[string]map[string]string{}
+	goldens := []struct {
+		file, flag string
+		got        map[string]map[string]string
+	}{
+		{"chrometrace_digests.json", "-chrometrace", map[string]map[string]string{}},
+		{"spans_digests.json", "-spans", map[string]map[string]string{}},
+	}
 	for _, scheduler := range []string{platform.SchedulerEvent, platform.SchedulerTick} {
-		got[scheduler] = map[string]string{}
+		for _, g := range goldens {
+			g.got[scheduler] = map[string]string{}
+		}
 		for _, run := range chromeTraceRuns {
-			path := filepath.Join(t.TempDir(), "trace.json")
-			args := append(append([]string{}, run.args...), "-scheduler", scheduler, "-chrometrace", path)
+			dir := t.TempDir()
+			args := append(append([]string{}, run.args...), "-scheduler", scheduler)
+			for _, g := range goldens {
+				args = append(args, g.flag, filepath.Join(dir, g.file))
+			}
 			if _, code := hetccsim(t, args...); code != run.exit {
 				t.Fatalf("%s %s: exit %d, want %d", scheduler, run.label, code, run.exit)
 			}
-			raw, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
+			for _, g := range goldens {
+				raw, err := os.ReadFile(filepath.Join(dir, g.file))
+				if err != nil {
+					t.Fatal(err)
+				}
+				sum := sha256.Sum256(raw)
+				g.got[scheduler][run.label] = hex.EncodeToString(sum[:])
 			}
-			sum := sha256.Sum256(raw)
-			got[scheduler][run.label] = hex.EncodeToString(sum[:])
 		}
 	}
-	golden := filepath.Join("testdata", "chrometrace_digests.json")
+	for _, g := range goldens {
+		checkDigests(t, filepath.Join("testdata", g.file), g.got)
+	}
+}
+
+// checkDigests compares got with the golden digest file, or rewrites the
+// file under -update.
+func checkDigests(t *testing.T, golden string, got map[string]map[string]string) {
+	t.Helper()
 	if *updateGolden {
 		raw, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {
@@ -110,11 +132,11 @@ func TestChromeTraceGolden(t *testing.T) {
 	}
 	for scheduler, runs := range got {
 		if len(runs) != len(want[scheduler]) {
-			t.Errorf("%s: %d runs, golden pins %d", scheduler, len(runs), len(want[scheduler]))
+			t.Errorf("%s %s: %d runs, golden pins %d", golden, scheduler, len(runs), len(want[scheduler]))
 		}
 		for label, d := range runs {
 			if w := want[scheduler][label]; d != w {
-				t.Errorf("%s %s: digest %s, golden %s", scheduler, label, d, w)
+				t.Errorf("%s %s %s: digest %s, golden %s", golden, scheduler, label, d, w)
 			}
 		}
 	}
