@@ -35,9 +35,9 @@ vet:
 
 # Alloc-regression suite: AllocsPerRun pins of the zero-garbage hot path
 # (bus tick, ARTRY storm, snoop broadcast, event emit, metrics records,
-# event-scheduler wake structure, sharing collector).  Any nonzero allocs/op
-# in steady state fails.  TestAllocsBuild bounds the set-up side: one
-# hetcc.Build of a PF2 platform with its programs.
+# event-scheduler wake structure, sharing collector, span collector).  Any
+# nonzero allocs/op in steady state fails.  TestAllocsBuild bounds the
+# set-up side: one hetcc.Build of a PF2 platform with its programs.
 allocs:
 	$(GO) test -run TestAllocs -v . ./internal/bus ./internal/event ./internal/metrics ./internal/span ./internal/sharing ./internal/sim
 

@@ -28,6 +28,7 @@ package profile
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"hetcc/internal/bus"
 	"hetcc/internal/event"
@@ -163,7 +164,7 @@ type coreState struct {
 // use (the simulation kernel is single-threaded, DESIGN.md invariant 7).
 type Ledger struct {
 	cores        []coreState
-	spans        []Span // in close order (see closeSpan)
+	spans        []Span // in close order (see closeSpan); doubles when full
 	maxSpans     int
 	droppedSpans uint64
 
@@ -419,6 +420,9 @@ func (l *Ledger) keepSpan(i, core int, cs *coreState) {
 		}
 		l.spans = l.spans[:len(l.spans)-1]
 	}
+	if len(l.spans) == cap(l.spans) {
+		l.spans = slices.Grow(l.spans, len(l.spans))
+	}
 	l.spans = append(l.spans, Span{})
 	copy(l.spans[i+1:], l.spans[i:])
 	l.spans[i] = Span{Core: core, Cause: cs.spanCause, Start: cs.spanStart, End: cs.spanEnd}
@@ -438,15 +442,15 @@ func (l *Ledger) Finish() {
 	}
 }
 
-// Spans returns the recorded stall spans in emission order (nil for a nil
-// ledger).  Call Finish first so trailing stalls are included.
+// Spans returns the recorded stall spans in close order (see closeSpan;
+// nil for a nil ledger).  It is the ledger's clipped backing slice, not a
+// copy: callers must not mutate it.  Call Finish first so trailing stalls
+// are included.
 func (l *Ledger) Spans() []Span {
 	if l == nil {
 		return nil
 	}
-	out := make([]Span, len(l.spans))
-	copy(out, l.spans)
-	return out
+	return slices.Clip(l.spans)
 }
 
 // Count returns core's attributed cycles for cause (0 for nil or out of

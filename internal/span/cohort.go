@@ -1,8 +1,10 @@
 package span
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 )
 
 // Cohort aggregates the bus transactions of one (master, op, line base)
@@ -33,6 +35,9 @@ type Cohort struct {
 	// CriticalCycles is the anchor (critical) core's share of BlockedCycles:
 	// the cohort's slice of the critical-path partition below.
 	CriticalCycles uint64 `json:"critical_cycles"`
+
+	// kind is the raw bus kind Op names, the cohort's sort key after Master.
+	kind uint8
 }
 
 // CohortSummary is the cohort partition of the critical core's timeline: the
@@ -95,26 +100,27 @@ func Cohorts(c *Collector, anchor int, total uint64, masterName func(int) string
 		busName = func(k uint8) string { return fmt.Sprintf("Kind(%d)", k) }
 	}
 	s := &CohortSummary{Anchor: anchor, TotalCycles: total}
-	byKey := make(map[cohortKey]*Cohort)
-	keyOf := func(t *Txn) cohortKey {
-		return cohortKey{master: t.Master, kind: t.Kind, line: t.Addr & c.lineMask}
-	}
-	get := func(k cohortKey) *Cohort {
-		co := byKey[k]
-		if co == nil {
-			co = &Cohort{
+	// index maps a cohort's key to its place in s.Cohorts.
+	index := make(map[cohortKey]int)
+	get := func(t *Txn) *Cohort {
+		k := cohortKey{master: t.Master, kind: t.Kind, line: t.Addr & c.lineMask}
+		i, ok := index[k]
+		if !ok {
+			i = len(s.Cohorts)
+			index[k] = i
+			s.Cohorts = append(s.Cohorts, Cohort{
 				Master:    k.master,
 				Component: masterName(k.master),
 				Op:        busName(k.kind),
 				Line:      fmt.Sprintf("0x%08x", k.line),
-			}
-			byKey[k] = co
+				kind:      k.kind,
+			})
 		}
-		return co
+		return &s.Cohorts[i]
 	}
 	for i := range c.txns {
 		t := &c.txns[i]
-		co := get(keyOf(t))
+		co := get(t)
 		co.Count++
 		co.Retries += len(t.Retries)
 		for _, ep := range t.Retries {
@@ -139,7 +145,7 @@ func Cohorts(c *Collector, anchor int, total uint64, masterName func(int) string
 			}
 			continue
 		}
-		co := get(keyOf(t))
+		co := get(t)
 		co.BlockedCycles += n
 		if l.Core == anchor {
 			co.CriticalCycles += n
@@ -149,22 +155,9 @@ func Cohorts(c *Collector, anchor int, total uint64, masterName func(int) string
 		s.ExecuteCycles = total - anchorStalled
 	}
 
-	keys := make([]cohortKey, 0, len(byKey))
-	for k := range byKey {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.master != b.master {
-			return a.master < b.master
-		}
-		if a.kind != b.kind {
-			return a.kind < b.kind
-		}
-		return a.line < b.line
+	// Line is fixed-width hex, so its string order is the address order.
+	slices.SortFunc(s.Cohorts, func(a, b Cohort) int {
+		return cmp.Or(cmp.Compare(a.Master, b.Master), cmp.Compare(a.kind, b.kind), strings.Compare(a.Line, b.Line))
 	})
-	for _, k := range keys {
-		s.Cohorts = append(s.Cohorts, *byKey[k])
-	}
 	return s
 }

@@ -1,6 +1,7 @@
 package span
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -205,6 +206,50 @@ func TestCriticalPathConservation(t *testing.T) {
 	}
 	if len(cp.TopTransactions) == 0 || cp.TopTransactions[0].Txn != 1 {
 		t.Fatalf("top transactions %+v: want txn 1 first", cp.TopTransactions)
+	}
+}
+
+// TestTopTransactionsOrder: the critical path's top transactions are ordered
+// by on-path cycles descending, ties by ascending id, and cut to topK.
+func TestTopTransactionsOrder(t *testing.T) {
+	c := NewCollector(32)
+	f := newFeed(c)
+	rd := uint8(bus.ReadLine)
+	// Five sequential transactions of core 0, each covering its stalls.
+	var stalls []profile.Span
+	stall := func(start, n uint64) {
+		stalls = append(stalls, profile.Span{Core: 0, Cause: profile.CauseRefill, Start: start, End: start + n})
+	}
+	for id := uint64(1); id <= 5; id++ {
+		f.at(100*id).sink.BusRequest(0, rd, uint32(0x2000_0000+32*id), id)
+		f.at(100*id+50).sink.BusComplete(0, rd, uint32(0x2000_0000+32*id), id, 0, 0)
+	}
+	stall(101, 5)
+	stall(201, 8) // txn 2: 8 cycles
+	stall(301, 9)
+	stall(401, 4) // txn 4: 4 + 4 cycles, tying txn 2
+	stall(410, 4)
+	stall(501, 2)
+	c.Finish(stalls, 1000)
+	cores := []CoreInfo{{Name: "c0", ClockDiv: 1, Halted: true, HaltCycle: 900}}
+	for _, tc := range []struct {
+		topK int
+		want []uint64
+	}{
+		{3, []uint64{3, 2, 4}},
+		{10, []uint64{3, 2, 4, 1, 5}},
+	} {
+		cp := Compute(c, 1000, cores, nil, nil, nil, tc.topK)
+		var got []uint64
+		for _, tt := range cp.TopTransactions {
+			got = append(got, tt.Txn)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(tc.want) {
+			t.Errorf("topK %d: top transactions %v, want %v", tc.topK, got, tc.want)
+		}
+		if n := cp.TopTransactions[1].Cycles; n != 8 || cp.TopTransactions[2].Cycles != 8 {
+			t.Errorf("topK %d: tied cycles %d and %d, want 8 and 8", tc.topK, n, cp.TopTransactions[2].Cycles)
+		}
 	}
 }
 
