@@ -120,6 +120,17 @@ func main() {
 		fatalIf(fmt.Errorf("-table must be 1..4, got %d", *tableFlag))
 	}
 	runAll := *figFlag == 0 && *tableFlag == 0 && !*sharingFlag && *sweepFlag == ""
+	// The report holds figure points only; open it before anything runs so
+	// a bad path or an empty selection fails with nothing printed.
+	var reportFile *os.File
+	if *reportFlag != "" {
+		if !runAll && *figFlag == 0 {
+			fatalIf(fmt.Errorf("-report holds figure points, and this selection runs no figure (add -fig, or drop -table, -sharing and -sweep)"))
+		}
+		var err error
+		reportFile, err = os.Create(*reportFlag)
+		fatalIf(err)
+	}
 	if runAll || *tableFlag == 1 {
 		table1(out)
 	}
@@ -150,14 +161,12 @@ func main() {
 	for _, sw := range runSweeps {
 		fatalIf(runSweep(out, sw, opts))
 	}
-	if *reportFlag != "" {
+	if reportFile != nil {
 		report.Platform = *platFlag
-		f, err := os.Create(*reportFlag)
-		fatalIf(err)
-		enc := json.NewEncoder(f)
+		enc := json.NewEncoder(reportFile)
 		enc.SetIndent("", "  ")
 		fatalIf(enc.Encode(report))
-		fatalIf(f.Close())
+		fatalIf(reportFile.Close())
 		fmt.Printf("figure report written to %s\n", *reportFlag)
 	}
 	// Stderr, not stdout: stdout must stay byte-identical across -jobs

@@ -83,9 +83,10 @@ func TestFiguresGolden(t *testing.T) {
 	}
 }
 
-// TestExitCodes: bad input exits 1 before or instead of printing a wrong
-// answer; a valid request exits 0.
+// TestExitCodes: bad input exits 1 with nothing on stdout, before anything
+// runs; a valid request exits 0.
 func TestExitCodes(t *testing.T) {
+	report := filepath.Join(t.TempDir(), "report.json")
 	cases := []struct {
 		name string
 		args []string
@@ -97,13 +98,20 @@ func TestExitCodes(t *testing.T) {
 		{"unknown platform", []string{"-platform", "pf9"}, 1},
 		{"unknown sweep", []string{"-sweep", "bogus"}, 1},
 		{"sweep on pf3", []string{"-sweep", "isr", "-platform", "pf3"}, 1},
-		{"unwritable report", []string{"-report", filepath.Join(t.TempDir(), "missing", "x.json"), "-table", "4"}, 1},
+		{"unwritable report", []string{"-report", filepath.Join(t.TempDir(), "missing", "x.json"), "-fig", "5"}, 1},
+		{"report without figure: table", []string{"-report", report, "-table", "4"}, 1},
+		{"report without figure: sweep", []string{"-report", report, "-sweep", "isr"}, 1},
+		{"report without figure: sharing", []string{"-report", report, "-sharing"}, 1},
 		{"one table", []string{"-table", "1"}, 0},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			if _, code := experiments(t, c.args...); code != c.want {
+			stdout, code := experiments(t, c.args...)
+			if code != c.want {
 				t.Errorf("experiments %v: exit %d, want %d", c.args, code, c.want)
+			}
+			if code != 0 && len(stdout) != 0 {
+				t.Errorf("experiments %v: failed after printing\n%s", c.args, stdout)
 			}
 		})
 	}
