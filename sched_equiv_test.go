@@ -19,6 +19,39 @@ import (
 // DMA engine on the bus.  Each run must give identical cycle counts and
 // byte-identical JSON reports under the event and tick schedulers.
 func TestSchedulerEquivalenceOffMatrix(t *testing.T) {
+	specs := offMatrixSpecs()
+	run := func(scheduler string) []hetcc.BatchResult {
+		s := make([]hetcc.BatchSpec, len(specs))
+		copy(s, specs)
+		for i := range s {
+			s[i].Config.Scheduler = scheduler
+		}
+		return hetcc.RunBatch(s, hetcc.BatchOptions{Jobs: 2, Reports: true})
+	}
+	event, tick := run(platform.SchedulerEvent), run(platform.SchedulerTick)
+	for i := range specs {
+		a, b := event[i], tick[i]
+		if a.Err != nil || b.Err != nil {
+			t.Errorf("%s: event err %v, tick err %v", specs[i].Label, a.Err, b.Err)
+			continue
+		}
+		compareReports(t, specs[i].Label, a.Result.Cycles, b.Result.Cycles, a.Report, b.Report)
+	}
+
+	t.Run("dma-pipelined", func(t *testing.T) {
+		var cycles [2]uint64
+		var reports [2]platform.Report
+		for i, sched := range schedulerModes {
+			cycles[i], reports[i] = runKitchenSink(t, sched, false)
+		}
+		compareReports(t, "dma-pipelined", cycles[0], cycles[1], &reports[0], &reports[1])
+	})
+}
+
+// offMatrixSpecs are the off-matrix runs: the pipelined bus on the three
+// case-study platforms under WCS and TCS, the three other lock kinds, the
+// ARM at clock divisors 3 and 4, and the 4-core protocol mix.
+func offMatrixSpecs() []hetcc.BatchSpec {
 	presets := []struct {
 		name  string
 		procs []platform.ProcessorSpec
@@ -66,38 +99,14 @@ func TestSchedulerEquivalenceOffMatrix(t *testing.T) {
 	cfg.Params = hetcc.Params{Lines: 8, ExecTime: 1, Iterations: 4}
 	specs = append(specs, hetcc.BatchSpec{Label: "scaling-4core", Config: cfg})
 
-	run := func(scheduler string) []hetcc.BatchResult {
-		s := make([]hetcc.BatchSpec, len(specs))
-		copy(s, specs)
-		for i := range s {
-			s[i].Config.Scheduler = scheduler
-		}
-		return hetcc.RunBatch(s, hetcc.BatchOptions{Jobs: 2, Reports: true})
-	}
-	event, tick := run(platform.SchedulerEvent), run(platform.SchedulerTick)
-	for i := range specs {
-		a, b := event[i], tick[i]
-		if a.Err != nil || b.Err != nil {
-			t.Errorf("%s: event err %v, tick err %v", specs[i].Label, a.Err, b.Err)
-			continue
-		}
-		compareReports(t, specs[i].Label, a.Result.Cycles, b.Result.Cycles, a.Report, b.Report)
-	}
-
-	t.Run("dma-pipelined", func(t *testing.T) {
-		var cycles [2]uint64
-		var reports [2]platform.Report
-		for i, sched := range schedulerModes {
-			cycles[i], reports[i] = runKitchenSink(t, sched)
-		}
-		compareReports(t, "dma-pipelined", cycles[0], cycles[1], &reports[0], &reports[1])
-	})
+	return specs
 }
 
 // runKitchenSink runs platform_test.go's every-feature platform (pipelined
 // bus, DMA engine, wrapper latency, write-through i486, two locks, race
 // checker) without its waveform probe, which would force the tick scheduler.
-func runKitchenSink(t *testing.T, scheduler string) (uint64, platform.Report) {
+// metrics switches the metrics registry on as well.
+func runKitchenSink(t *testing.T, scheduler string, metrics bool) (uint64, platform.Report) {
 	t.Helper()
 	specs := []platform.ProcessorSpec{platform.PowerPC755(), platform.Intel486WT(), platform.ARM920T()}
 	for i := range specs {
@@ -114,6 +123,7 @@ func runKitchenSink(t *testing.T, scheduler string) (uint64, platform.Report) {
 		Audit:        true,
 		Profile:      true,
 		Spans:        true,
+		Metrics:      metrics,
 		Scheduler:    scheduler,
 	})
 	if err != nil {
