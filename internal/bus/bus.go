@@ -124,7 +124,7 @@ type Transaction struct {
 
 	retries int
 	// submitCycle is the bus cycle at which the transaction entered its
-	// master's queue (the grant wait on its BusGrant record).
+	// master's queue (the Wait of its BusGrant and BusComplete records).
 	submitCycle uint64
 	// id is the bus-assigned monotonically increasing transaction id,
 	// stamped at Submit/SubmitFlush.  Masters reuse Transaction structs, so
@@ -426,7 +426,7 @@ func (b *Bus) Stats() Stats {
 func (b *Bus) Timing() memory.Timing { return b.cfg.Timing }
 
 // Cycle reports the number of bus cycles elapsed (the bus-local clock; the
-// cache controllers use it to timestamp miss latencies).
+// TAG-CAM snoop logic uses it to time its ISR drains).
 func (b *Bus) Cycle() uint64 {
 	b.syncExternal()
 	return b.cycle
@@ -867,7 +867,7 @@ func (b *Bus) complete(now uint64) {
 	// Emitted before the completion callbacks so a subscriber sees the
 	// master's queue state settle before any synchronous resubmission (e.g.
 	// an upgrade falling back to a fill).
-	b.events.BusComplete(p.txn.Master, uint8(p.txn.Kind), p.txn.Addr, p.txn.id, now-b.curStart, p.txn.retries)
+	b.events.BusComplete(p.txn.Master, uint8(p.txn.Kind), p.txn.Addr, p.txn.id, b.cycle-p.txn.submitCycle, now-b.curStart, p.txn.retries)
 	for _, o := range b.obs {
 		o(p.txn, res)
 	}

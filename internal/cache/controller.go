@@ -6,8 +6,6 @@ import (
 	"hetcc/internal/bus"
 	"hetcc/internal/coherence"
 	"hetcc/internal/event"
-	"hetcc/internal/metrics"
-	"hetcc/internal/profile"
 )
 
 // Policy is the wrapper hook: it intercepts what the snooping cache
@@ -81,7 +79,6 @@ type Controller struct {
 	reqVal    uint32
 	reqDone   func(uint32)
 	reqVictim *Line
-	reqStart  uint64
 	reqOp     coherence.BusOp
 	reqNext   coherence.State
 
@@ -113,20 +110,10 @@ type Controller struct {
 	upgradeLive bool
 	upgradeLost bool
 
-	// nil-safe metric instruments (see SetMetrics); latencies in bus cycles.
-	mMissLat  *metrics.Histogram
-	mDrainLat *metrics.Histogram
-
-	// nil-safe coherence event sink (see SetEvents)
+	// nil-safe coherence event sink (see SetEvents): the controller's only
+	// report channel.  Miss and drain latencies, and invalidation re-misses,
+	// are derived from its records by their subscribers.
 	events *event.Sink
-
-	// nil-safe stall profiler (see SetProfile).  remoteInval tracks line
-	// bases whose cached copy was invalidated by a snoop carrying a wrapper
-	// read→write conversion; a later fill of such a line is an
-	// invalidation-induced re-miss (the paper's coherence cost).  The map is
-	// only populated while profiling is enabled.
-	prof        *profile.Ledger
-	remoteInval map[uint32]struct{}
 }
 
 // NewController wires a controller for cache c on bus b, registering a new
@@ -160,48 +147,9 @@ func NewController(name string, c *Cache, b *bus.Bus, policy Policy, snoops bool
 // MasterID returns the bus master id of this controller.
 func (ctl *Controller) MasterID() int { return ctl.masterID }
 
-// SetMetrics attaches the controller to a metrics registry.  Controllers
-// share histogram names, so per-core events aggregate into one platform-wide
-// distribution.  A nil registry leaves the instruments nil (no-op).
-func (ctl *Controller) SetMetrics(r *metrics.Registry) {
-	ctl.mMissLat = r.Histogram("cache.miss.buscycles")
-	ctl.mDrainLat = r.Histogram("cache.drain.buscycles")
-}
-
 // SetEvents attaches the controller to a coherence event sink.  A nil sink
 // makes every emission a single nil check.
 func (ctl *Controller) SetEvents(s *event.Sink) { ctl.events = s }
-
-// SetProfile attaches the controller to the stall-cause ledger.  A nil
-// ledger disables the invalidation-re-miss bookkeeping entirely.
-func (ctl *Controller) SetProfile(l *profile.Ledger) {
-	ctl.prof = l
-	if l != nil && ctl.remoteInval == nil {
-		ctl.remoteInval = make(map[uint32]struct{})
-	}
-}
-
-// markRemoteInval records that base was invalidated by a wrapper-converted
-// snoop, so the next fill of base counts as an invalidation re-miss.
-func (ctl *Controller) markRemoteInval(base uint32) {
-	if ctl.prof != nil {
-		ctl.remoteInval[base] = struct{}{}
-	}
-}
-
-// noteMissProfile classifies the imminent fill of addr: if the previous copy
-// was lost to a wrapper read→write conversion, the stall is an invalidation
-// re-miss.  The mark is consumed either way.
-func (ctl *Controller) noteMissProfile(addr uint32) {
-	if ctl.prof == nil {
-		return
-	}
-	base := ctl.cache.Config().LineAddr(addr)
-	if _, ok := ctl.remoteInval[base]; ok {
-		delete(ctl.remoteInval, base)
-		ctl.prof.NoteInvalMiss(ctl.masterID)
-	}
-}
 
 // noteState publishes a line state transition on the event stream.  State
 // assignments below route through it so the auditor sees every transition.
@@ -330,13 +278,11 @@ func (ctl *Controller) accessWriteThrough(write bool, addr, val uint32, done fun
 	if victim == nil {
 		return Busy, 0
 	}
-	ctl.noteMissProfile(addr)
 	if victim.State != coherence.Invalid {
 		ctl.evict(victim)
 	}
 	cfg := ctl.cache.Config()
 	ctl.busy = true
-	ctl.reqStart = ctl.bus.Cycle()
 	ctl.reqAddr = addr
 	ctl.reqDone = done
 	ctl.reqVictim = victim
@@ -357,7 +303,6 @@ func (ctl *Controller) wtWriteDone(bus.Result) {
 // wtReadDone completes a write-through read-miss fill (SI protocol: the line
 // allocates Shared).
 func (ctl *Controller) wtReadDone(res bus.Result) {
-	ctl.mMissLat.Observe(ctl.bus.Cycle() - ctl.reqStart)
 	addr, done, victim := ctl.reqAddr, ctl.reqDone, ctl.reqVictim
 	ctl.reqDone, ctl.reqVictim = nil, nil
 	l := ctl.cache.Install(addr, res.Data, coherence.Shared, victim)
@@ -425,7 +370,6 @@ func (ctl *Controller) missFill(write bool, addr, val uint32, done func(uint32))
 	if victim == nil {
 		panic(fmt.Sprintf("cache %s: no victim for fill of 0x%08x", ctl.name, addr))
 	}
-	ctl.noteMissProfile(addr)
 	if victim.State != coherence.Invalid {
 		ctl.evict(victim)
 	}
@@ -438,7 +382,6 @@ func (ctl *Controller) missFill(write bool, addr, val uint32, done func(uint32))
 	base := cfg.LineAddr(addr)
 	ctl.reqWrite, ctl.reqAddr, ctl.reqVal = write, addr, val
 	ctl.reqDone, ctl.reqVictim = done, victim
-	ctl.reqStart = ctl.bus.Cycle()
 	ctl.events.MemAccess(ctl.masterID, addr, write)
 	ctl.reqTxn = bus.Transaction{Master: ctl.masterID, Kind: kind, Addr: base, Words: cfg.WordsPerLine()}
 	ctl.bus.Submit(&ctl.reqTxn, ctl.fillDoneFn)
@@ -446,7 +389,6 @@ func (ctl *Controller) missFill(write bool, addr, val uint32, done func(uint32))
 
 // fillDone completes a missFill request.
 func (ctl *Controller) fillDone(res bus.Result) {
-	ctl.mMissLat.Observe(ctl.bus.Cycle() - ctl.reqStart)
 	write, addr, val := ctl.reqWrite, ctl.reqAddr, ctl.reqVal
 	done, victim := ctl.reqDone, ctl.reqVictim
 	ctl.reqVictim = nil
@@ -497,7 +439,6 @@ func (ctl *Controller) evict(l *Line) {
 		j := ctl.getWB()
 		j.kind = wbEvict
 		j.base = base
-		j.start = ctl.bus.Cycle()
 		j.setData(l.Data)
 		ctl.pendingWB[base] = struct{}{}
 		j.txn = bus.Transaction{Master: ctl.masterID, Kind: bus.WriteLine, Addr: base, Data: j.buf}
@@ -558,7 +499,6 @@ func (ctl *Controller) Clean(addr uint32, done func()) Status {
 	j.kind = wbClean
 	j.base = base
 	j.userDone = done
-	j.start = ctl.bus.Cycle()
 	j.setData(l.Data)
 	ctl.pendingWB[base] = struct{}{}
 	ctl.invalidateLine(l)
@@ -633,8 +573,6 @@ func (ctl *Controller) SnoopBus(t *bus.Transaction) bus.SnoopReply {
 		j := ctl.getWB()
 		j.kind = wbFlush
 		j.line = l
-		j.converted = converted
-		j.start = ctl.bus.Cycle()
 		j.setData(l.Data)
 		j.txn = bus.Transaction{Master: ctl.masterID, Kind: bus.WriteLine, Addr: l.Base, Data: j.buf}
 		ctl.bus.SubmitFlush(&j.txn, j.doneFn)
@@ -656,9 +594,6 @@ func (ctl *Controller) SnoopBus(t *bus.Transaction) bus.SnoopReply {
 	}
 	if out.Next == coherence.Invalid {
 		ctl.cache.stats.SnoopInvalidations++
-		if converted {
-			ctl.markRemoteInval(l.Base)
-		}
 		ctl.invalidateLine(l)
 	} else if out.Next != l.State {
 		ctl.cache.stats.SnoopDowngrades++

@@ -22,16 +22,13 @@ const (
 // buffer and completion callback are all reused, making steady-state drains
 // allocation-free.
 type wbJob struct {
-	ctl   *Controller
-	txn   bus.Transaction
-	buf   []uint32
-	base  uint32
-	start uint64
-	kind  wbKind
-	// line/converted are wbFlush state: the array line being drained and
-	// whether the snoop carried a wrapper read→write conversion.
-	line      *Line
-	converted bool
+	ctl  *Controller
+	txn  bus.Transaction
+	buf  []uint32
+	base uint32
+	kind wbKind
+	// line is wbFlush state: the array line being drained.
+	line *Line
 	// userDone is wbClean's caller callback.
 	userDone func()
 	// doneFn is the prebound j.done method value handed to the bus.
@@ -68,7 +65,6 @@ func (ctl *Controller) putWB(j *wbJob) {
 // done is the completion callback for every write-back kind.
 func (j *wbJob) done(bus.Result) {
 	ctl := j.ctl
-	ctl.mDrainLat.Observe(ctl.bus.Cycle() - j.start)
 	switch j.kind {
 	case wbEvict:
 		delete(ctl.pendingWB, j.base)
@@ -85,13 +81,8 @@ func (j *wbJob) done(bus.Result) {
 		ctl.events.Drain(ctl.masterID, l.Base, j.txn.ID())
 		ctl.noteState(l.Base, l.State, l.flushNext)
 		l.State = l.flushNext
-		if l.State == coherence.Invalid {
-			if j.converted {
-				ctl.markRemoteInval(l.Base)
-			}
-			if ctl.upgradeLive && l.Base == ctl.upgradeBase {
-				ctl.upgradeLost = true
-			}
+		if l.State == coherence.Invalid && ctl.upgradeLive && l.Base == ctl.upgradeBase {
+			ctl.upgradeLost = true
 		}
 	}
 	ctl.putWB(j)

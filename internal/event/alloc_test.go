@@ -15,7 +15,7 @@ func TestAllocsEmitDisabled(t *testing.T) {
 		s.BusGrant(1, 0, 0x40, true, 1, 0, 0)
 		s.Retry(1, 0, 0x40, 3, false, 1)
 		s.Drain(1, 0x40, 1)
-		s.BusComplete(1, 0, 0x40, 1, 0, 0)
+		s.BusComplete(1, 0, 0x40, 1, 0, 0, 0)
 	})
 	if n != 0 {
 		t.Fatalf("disabled-sink emits allocate %.1f/op, want 0", n)
@@ -32,7 +32,7 @@ func TestAllocsEmitEnabled(t *testing.T) {
 		s.BusRequest(1, 0, 0x40, 1)
 		s.BusGrant(1, 0, 0x40, true, 1, 0, 0)
 		s.Retry(1, 0, 0x40, 3, true, 1)
-		s.BusComplete(1, 0, 0x40, 1, 0, 0)
+		s.BusComplete(1, 0, 0x40, 1, 0, 0, 0)
 	}
 	emit() // warm-up
 	if n := testing.AllocsPerRun(1000, emit); n != 0 {
@@ -55,7 +55,7 @@ func TestAllocsJSONLWriter(t *testing.T) {
 		s.BusGrant(1, 0, 0x2000_0040, true, 12, 0, 0)
 		s.Retry(1, 0, 0x2000_0040, 3, true, 12)
 		s.Drain(1, 0x2000_0040, 11)
-		s.BusComplete(1, 0, 0x2000_0040, 12, 0, 0)
+		s.BusComplete(1, 0, 0x2000_0040, 12, 0, 0, 0)
 	}
 	emit() // warm-up: first rows may grow the buffer
 	if n := testing.AllocsPerRun(1000, emit); n != 0 {
@@ -76,7 +76,7 @@ func BenchmarkJSONLWriter(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s.BusRequest(1, 0, 0x2000_0040, uint64(i+1))
 		s.Retry(1, 0, 0x2000_0040, 2, true, uint64(i+1))
-		s.BusComplete(1, 0, 0x2000_0040, uint64(i+1), 0, 0)
+		s.BusComplete(1, 0, 0x2000_0040, uint64(i+1), 0, 0, 0)
 	}
 }
 

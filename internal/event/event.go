@@ -141,11 +141,12 @@ type Record struct {
 	// bus depending on it.
 	Txn uint64
 	// Wait and Latency carry what the producer measured.  Wait, in bus
-	// cycles: submission to grant on BusGrant; snoop hit (or CAM-overflow
-	// flush) to ISR completion on a snoop-logic Drain.  Latency: the data
-	// phase in bus cycles on BusGrant; the tenure in engine cycles, from
-	// grant (or pipelined promotion) to completion, on BusComplete, which
-	// also carries the retry count in Retries.
+	// cycles: submission to grant on BusGrant; submission to completion on
+	// BusComplete (retries included; the JSONL writer does not render it);
+	// snoop hit (or CAM-overflow flush) to ISR completion on a snoop-logic
+	// Drain.  Latency: the data phase in bus cycles on BusGrant; the tenure
+	// in engine cycles, from grant (or pipelined promotion) to completion,
+	// on BusComplete, which also carries the retry count in Retries.
 	Wait, Latency uint64
 }
 
@@ -287,13 +288,13 @@ func (s *Sink) SharedOverride(core int, in, out bool) {
 }
 
 // BusComplete records a tenure finishing its data phase and leaving the
-// bus; tenure is its length in engine cycles and retries the transaction's
-// ARTRY count.
-func (s *Sink) BusComplete(core int, busKind uint8, addr uint32, txn, tenure uint64, retries int) {
+// bus; wait is the bus cycles since submission, tenure the tenure's length
+// in engine cycles and retries the transaction's ARTRY count.
+func (s *Sink) BusComplete(core int, busKind uint8, addr uint32, txn, wait, tenure uint64, retries int) {
 	if s == nil {
 		return
 	}
-	s.emit(Record{Kind: BusComplete, Core: core, Addr: addr, BusKind: busKind, Txn: txn, Latency: tenure, Retries: retries})
+	s.emit(Record{Kind: BusComplete, Core: core, Addr: addr, BusKind: busKind, Txn: txn, Wait: wait, Latency: tenure, Retries: retries})
 }
 
 // Drain records a completed write-back of line addr; txn is the id of the

@@ -21,7 +21,7 @@ func TestNilSinkIsSafe(t *testing.T) {
 	s.WrapperConvert(1, coherence.BusRd, coherence.BusRdX)
 	s.SharedOverride(1, true, false)
 	s.Drain(1, 0x100, 0)
-	s.BusComplete(0, 1, 0x100, 1, 0, 0)
+	s.BusComplete(0, 1, 0x100, 1, 0, 0, 0)
 	s.MemAccess(0, 0x104, true)
 	s.Subscribe(func(*Record) { t.Fatal("nil sink delivered an event") })
 	if s.Counts() != nil {
@@ -94,7 +94,7 @@ func TestJSONLWriter(t *testing.T) {
 	s.WrapperConvert(1, coherence.BusRd, coherence.BusRdX)
 	s.SharedOverride(1, true, false)
 	s.Drain(0, 0x2000_0000, 9)
-	s.BusComplete(0, 2, 0x2000_0000, 7, 0, 0)
+	s.BusComplete(0, 2, 0x2000_0000, 7, 0, 0, 0)
 	s.MemAccess(0, 0x2000_0004, true)
 
 	if jw.Err() != nil {

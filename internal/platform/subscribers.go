@@ -17,12 +17,18 @@ func fromSnoopLogic(p *Platform, r *event.Record) bool {
 	return r.Core < len(p.SnoopLogics) && p.SnoopLogics[r.Core] != nil && (r.Kind != event.Drain || r.Txn == 0)
 }
 
-// metricsHandler registers the bus, snoop-logic and wrapper instruments —
-// the snoop pair only when a snoop logic exists, and per installed wrapper
-// one counter per op its policy rewrites plus its override counter — and
-// returns the subscriber that fills them from the records' measured values.
+// metricsHandler registers the bus, cache, snoop-logic and wrapper
+// instruments — the snoop pair only when a snoop logic exists, and per
+// installed wrapper one counter per op its policy rewrites plus its override
+// counter — and returns the subscriber that fills them from the records'
+// measured values.  The cache pair times the cores' own fills and
+// write-backs, submission to completion, so the DMA engine's transfers are
+// left out.
 func metricsHandler(p *Platform) event.Handler {
 	r := p.Metrics
+	missLat := r.Histogram("cache.miss.buscycles")
+	drainLat := r.Histogram("cache.drain.buscycles")
+	cores := len(p.Controllers)
 	grantWait := r.Histogram("bus.grant.wait.buscycles")
 	tenure := r.Histogram("bus.tenure.enginecycles")
 	retries := r.Histogram("bus.retries.per.txn")
@@ -55,6 +61,14 @@ func metricsHandler(p *Platform) event.Handler {
 		case event.BusComplete:
 			tenure.Observe(rec.Latency)
 			retries.Observe(uint64(rec.Retries))
+			if rec.Core < cores {
+				switch bus.Kind(rec.BusKind) {
+				case bus.ReadLine, bus.ReadLineOwn:
+					missLat.Observe(rec.Wait)
+				case bus.WriteLine:
+					drainLat.Observe(rec.Wait)
+				}
+			}
 		case event.SnoopHit:
 			if fromSnoopLogic(p, rec) {
 				camHits.Inc()

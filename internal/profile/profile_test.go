@@ -17,7 +17,6 @@ func TestNilLedgerIsSafe(t *testing.T) {
 	l.StallLock(0)
 	l.StallDrain(0)
 	l.StallEnd(0)
-	l.NoteInvalMiss(0)
 	l.Arm(0, 0, 1)
 	l.Disarm(0)
 	l.StallTick(0, 10)
@@ -60,7 +59,7 @@ func drive(l *Ledger, kind event.Kind, busKind bus.Kind, drain bool) {
 // TestAccessCauseFollowsBusPhase walks one fill transaction through its
 // phases and checks each stalled tick lands in the matching bucket.
 func TestAccessCauseFollowsBusPhase(t *testing.T) {
-	l := NewLedger(1, nil)
+	l := NewLedger(1)
 	l.StallAccess(0)
 	l.Arm(0, 0, 1)
 
@@ -90,7 +89,7 @@ func TestAccessCauseFollowsBusPhase(t *testing.T) {
 // TestWriteBackPhasesCountAsDrain checks a queued or granted write-back
 // attributes the wait to the drain bucket, not arbitration/refill.
 func TestWriteBackPhasesCountAsDrain(t *testing.T) {
-	l := NewLedger(1, nil)
+	l := NewLedger(1)
 	l.StallAccess(0)
 	l.Arm(0, 0, 1)
 	drive(l, event.BusRequest, bus.WriteLine, false) // eviction WB queued
@@ -112,16 +111,25 @@ func TestWriteBackPhasesCountAsDrain(t *testing.T) {
 	}
 }
 
-// TestInvalMissAttribution checks the NoteInvalMiss flag dominates the bus
-// phase for the whole stall, is consumed by the stall end, and may arrive
-// before the stall class is set.
+// TestInvalMissAttribution checks that a fill of a line the core lost to a
+// wrapper-converted invalidation is an invalidation re-miss for the whole
+// stall, that the mark may be consumed before the stall class is set, and
+// that it is consumed once.
 func TestInvalMissAttribution(t *testing.T) {
-	l := NewLedger(1, nil)
-	// Controller classifies the miss before the CPU observes Pending.
-	l.NoteInvalMiss(0)
+	const line = 0x2000_0040
+	l := NewLedger(2)
+	// Core 0's snooper loses the line to core 1's converted BusRd; neither
+	// an unconverted invalidation nor a converted downgrade marks anything.
+	l.HandleEvent(&event.Record{Kind: event.SnoopHit, Core: 0, Peer: 1, Addr: line, Inval: true, Converted: true})
+	l.HandleEvent(&event.Record{Kind: event.SnoopHit, Core: 1, Peer: 0, Addr: line, Inval: true})
+	l.HandleEvent(&event.Record{Kind: event.SnoopHit, Core: 1, Peer: 0, Addr: line + 0x20, Converted: true})
+	fill := func(core int, addr uint32) {
+		l.HandleEvent(&event.Record{Kind: event.BusRequest, Core: core, Addr: addr, BusKind: uint8(bus.ReadLine)})
+	}
+	// The fill request reaches the ledger before the CPU observes Pending.
+	fill(0, line)
 	l.StallAccess(0)
 	l.Arm(0, 0, 1)
-	drive(l, event.BusRequest, bus.ReadLine, false)
 	l.StallTick(0, 1)
 	drive(l, event.BusGrant, bus.ReadLine, false)
 	l.StallTick(0, 2)
@@ -130,21 +138,31 @@ func TestInvalMissAttribution(t *testing.T) {
 	if got := l.Count(0, CauseInval); got != 2 {
 		t.Fatalf("inval-remiss = %d, want 2 (flag must span the whole stall)", got)
 	}
-	// The next ordinary stall must not inherit the flag.
+	// The next fill of the same line must not inherit the mark.
+	fill(0, line)
 	l.StallAccess(0)
 	l.Arm(0, 9, 1)
-	drive(l, event.BusRequest, bus.ReadLine, false)
 	l.StallTick(0, 10)
 	l.StallEnd(0)
 	if got := l.Count(0, CauseInval); got != 2 {
 		t.Fatalf("inval-remiss leaked into a later stall: %d", got)
+	}
+	for _, addr := range []uint32{line, line + 0x20} {
+		l.StallAccess(1)
+		l.Arm(1, 20, 1)
+		fill(1, addr)
+		l.StallTick(1, 21)
+		l.StallEnd(1)
+	}
+	if got := l.Count(1, CauseInval); got != 0 {
+		t.Fatalf("core 1 inval-remiss = %d, want 0 (nothing marked it)", got)
 	}
 }
 
 // TestLockAndDrainClassesDominate checks the CPU-side class overrides the
 // bus phase entirely.
 func TestLockAndDrainClassesDominate(t *testing.T) {
-	l := NewLedger(1, nil)
+	l := NewLedger(1)
 	l.StallLock(0)
 	l.Arm(0, 0, 1)
 	drive(l, event.BusRequest, bus.RMWWord, false)
@@ -164,7 +182,7 @@ func TestLockAndDrainClassesDominate(t *testing.T) {
 // TestSpans checks contiguous same-cause runs coalesce, cause changes split,
 // and Finish closes the trailing span.
 func TestSpans(t *testing.T) {
-	l := NewLedger(2, nil)
+	l := NewLedger(2)
 	l.StallLock(0)
 	l.Arm(0, 8, 2)
 	l.StallTick(0, 10)
@@ -190,7 +208,7 @@ func TestSpans(t *testing.T) {
 // TestSpanBound checks the retention bound drops spans (never counts) and
 // reports the loss.
 func TestSpanBound(t *testing.T) {
-	l := NewLedger(1, nil)
+	l := NewLedger(1)
 	l.maxSpans = 2
 	for i := 0; i < 4; i++ {
 		l.StallLock(0)
@@ -213,7 +231,7 @@ func TestSpanBound(t *testing.T) {
 // TestSummaryAndFolded checks the summary arithmetic and the folded-stack
 // rendering (core;cause count, display order, zero causes omitted).
 func TestSummaryAndFolded(t *testing.T) {
-	l := NewLedger(2, nil)
+	l := NewLedger(2)
 	l.StallLock(0)
 	l.Arm(0, 0, 1)
 	l.StallTick(0, 1)
@@ -255,7 +273,7 @@ type failWriter struct{}
 func (failWriter) Write([]byte) (int, error) { return 0, errors.New("disk full") }
 
 func TestWriteFoldedPropagatesErrors(t *testing.T) {
-	l := NewLedger(1, nil)
+	l := NewLedger(1)
 	l.StallLock(0)
 	l.Arm(0, 0, 1)
 	l.StallTick(0, 1)
@@ -268,7 +286,7 @@ func TestWriteFoldedPropagatesErrors(t *testing.T) {
 // TestOutOfRangeCoresIgnored checks events and hooks for masters beyond the
 // core range (the DMA engine) are ignored, not crashed on.
 func TestOutOfRangeCoresIgnored(t *testing.T) {
-	l := NewLedger(1, nil)
+	l := NewLedger(1)
 	l.HandleEvent(&event.Record{Kind: event.BusRequest, Core: 5})
 	l.HandleEvent(&event.Record{Kind: event.BusRequest, Core: -1})
 	l.StallAccess(7)
@@ -369,7 +387,7 @@ func TestSpansIndependentOfFlushCadence(t *testing.T) {
 	for _, maxSpans := range []int{DefaultMaxSpans, 3} {
 		var ledgers [2]*Ledger
 		for i, perEdge := range []bool{true, false} {
-			ledgers[i] = NewLedger(2, nil)
+			ledgers[i] = NewLedger(2)
 			ledgers[i].maxSpans = maxSpans
 			replayStalls(ledgers[i], perEdge, episodes, events, 18)
 		}

@@ -49,10 +49,10 @@ func TestAllocsSpanCollector(t *testing.T) {
 		f.at(f.cycle+1).sink.Retry(0, rd, addr, 1, true, req)
 		f.at(f.cycle+1).sink.BusRequest(1, wb, addr, flush)
 		f.at(f.cycle+1).sink.BusGrant(1, wb, addr, false, flush, 0, 0)
-		f.at(f.cycle+1).sink.BusComplete(1, wb, addr, flush, 0, 0)
+		f.at(f.cycle+1).sink.BusComplete(1, wb, addr, flush, 0, 0, 0)
 		f.at(f.cycle).sink.Drain(1, addr, flush)
 		f.at(f.cycle+1).sink.BusGrant(0, rd, addr, true, req, 0, 0)
-		f.at(f.cycle+1).sink.BusComplete(0, rd, addr, req, 0, 0)
+		f.at(f.cycle+1).sink.BusComplete(0, rd, addr, req, 0, 0, 0)
 	}
 	for i := 0; i < 16; i++ {
 		life()

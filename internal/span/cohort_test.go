@@ -18,11 +18,11 @@ func cohortFixture(t *testing.T) *Collector {
 	f.at(10).sink.BusRequest(0, rd, 0x2000_0000, 1)
 	f.at(14).sink.Retry(0, rd, 0x2000_0000, 1, true, 1)
 	f.at(16).sink.BusRequest(1, wb, 0x2000_0000, 2)
-	f.at(30).sink.BusComplete(1, wb, 0x2000_0000, 2, 0, 0)
+	f.at(30).sink.BusComplete(1, wb, 0x2000_0000, 2, 0, 0, 0)
 	f.at(30).sink.Drain(1, 0x2000_0000, 2)
-	f.at(50).sink.BusComplete(0, rd, 0x2000_0000, 1, 0, 0)
+	f.at(50).sink.BusComplete(0, rd, 0x2000_0000, 1, 0, 0, 0)
 	f.at(60).sink.BusRequest(0, rd, 0x2000_0020, 3)
-	f.at(80).sink.BusComplete(0, rd, 0x2000_0020, 3, 0, 0)
+	f.at(80).sink.BusComplete(0, rd, 0x2000_0020, 3, 0, 0, 0)
 
 	stalls := []profile.Span{
 		{Core: 0, Cause: profile.CauseDrain, Start: 14, End: 31},
