@@ -146,7 +146,8 @@ type Collector struct {
 	epochs []RetryEpoch
 	// openWB maps a line base to the id of the queued/in-flight write-back
 	// draining it (WriteLine/WriteLineInv), for immediate retry→drain
-	// resolution.
+	// resolution.  An entry closes at its Drain record or, for a write-back
+	// that has none (a DMA destination write), at its completion.
 	openWB map[uint32]uint64
 	// wantDrain queues transaction ids whose drain-retry could not be
 	// resolved yet (the flush had not been submitted at ARTRY time); the
@@ -291,6 +292,11 @@ func (c *Collector) HandleEvent(r *event.Record) {
 		if t := c.get(r.Txn); t != nil {
 			t.Complete = r.Cycle
 			t.Done = true
+		}
+		if isWriteBack(r.BusKind) {
+			if base := r.Addr & c.lineMask; c.openWB[base] == r.Txn {
+				delete(c.openWB, base)
+			}
 		}
 	}
 }
