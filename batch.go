@@ -74,11 +74,7 @@ func RunBatch(specs []BatchSpec, opts BatchOptions) []BatchResult {
 				if err != nil {
 					return br, err
 				}
-				maxCycles := spec.Config.MaxCycles
-				if maxCycles == 0 {
-					maxCycles = 50_000_000
-				}
-				res := p.Run(maxCycles)
+				res := p.Run(spec.Config.cycleBudget())
 				br.Result = Result{Result: res, EngineCyclesPerBusCycle: platform.BusClockDiv}
 				if opts.Reports {
 					rep := p.Report(res, spec.Config.Scenario.String())

@@ -182,12 +182,16 @@ func Run(cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	maxCycles := cfg.MaxCycles
-	if maxCycles == 0 {
-		maxCycles = 50_000_000
-	}
-	res := p.Run(maxCycles)
+	res := p.Run(cfg.cycleBudget())
 	return Result{Result: res, EngineCyclesPerBusCycle: platform.BusClockDiv}, p.VCDErr()
+}
+
+// cycleBudget is the run's MaxCycles, or the 50M-cycle default when unset.
+func (cfg Config) cycleBudget() uint64 {
+	if cfg.MaxCycles == 0 {
+		return 50_000_000
+	}
+	return cfg.MaxCycles
 }
 
 // MustRun is Run for tests and examples where configuration errors are
