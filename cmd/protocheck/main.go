@@ -241,10 +241,11 @@ func auditMatrix() error {
 		if a.ViolationCount > 0 || !res.Coherent() {
 			verdict = "FAIL"
 		}
+		allowed := platform.AuditAllowedStates(platform.Config{Processors: c.procs, Solution: platform.Proposed}, integ)
 		observed := make([]string, len(a.Reachable))
 		for i, states := range a.Reachable {
 			observed[i] = "{" + strings.Join(states, ",") + "}"
-			if !withinAllowed(states, auditAllowed(c.procs[i], integ)) {
+			if !withinAllowed(states, allowed[i]) {
 				verdict = "FAIL"
 			}
 		}
@@ -259,17 +260,6 @@ func auditMatrix() error {
 	}
 	fmt.Println("\nall observed state sets fall within the paper's reduction table; zero invariant violations")
 	return nil
-}
-
-// auditAllowed mirrors the platform's allowed-state computation for one spec
-// under the proposed solution: the reduction table, plus S for write-through
-// shared lines.
-func auditAllowed(spec platform.ProcessorSpec, integ core.Integration) []coherence.State {
-	states := core.AllowedStates(spec.Protocol, integ.Effective)
-	if spec.WriteThroughShared {
-		states = append(append([]coherence.State(nil), states...), coherence.Shared)
-	}
-	return states
 }
 
 func withinAllowed(observed []string, allowed []coherence.State) bool {
