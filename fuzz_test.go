@@ -13,26 +13,29 @@ import (
 
 // FuzzSchedulerEquivalence fuzzes the dual-scheduler contract over the whole
 // configuration surface: any (platform pair, scenario, solution, seed, lock
-// mechanism) combination that builds must produce byte-identical JSON reports
-// and identical digests under the event and tick schedulers.  The committed
-// seed corpus covers each platform, solution and lock kind at least once, so
+// mechanism, bus mode) combination that builds must produce byte-identical
+// JSON reports and identical digests under the event and tick schedulers.
+// pipelined selects the overlapped (AHB-style) bus, whose tenures a core can
+// stall on while the next one's address phase runs.  The committed seed
+// corpus covers each platform, solution and lock kind at least once, and
+// each platform with the pipelined bus, so
 // plain `go test` replays the corpus as regression cases; `go test -fuzz
 // FuzzSchedulerEquivalence` explores further.
 func FuzzSchedulerEquivalence(f *testing.F) {
-	f.Add(0, 0, 0, uint64(1), 0)
-	f.Add(1, 1, 2, uint64(42), 2)
-	f.Add(2, 2, 1, uint64(7), 1)
-	f.Add(1, 0, 2, uint64(3), 3)
-	f.Add(0, 2, 2, uint64(9), 4)
+	f.Add(0, 0, 0, uint64(1), 0, false)
+	f.Add(1, 1, 2, uint64(42), 2, false)
+	f.Add(2, 2, 1, uint64(7), 1, false)
+	f.Add(1, 0, 2, uint64(3), 3, false)
+	f.Add(0, 2, 2, uint64(9), 4, false)
 	// Heterogeneous edge cases beyond the case-study platforms: an
 	// update×invalidate mix (rejected by the reduction — both schedulers
 	// must agree on the rejection) and a coherence-less master beside a
 	// shared-state protocol (the PF2 implicit-MEI reduction).
-	f.Add(3, 0, 2, uint64(11), 0)
-	f.Add(3, 1, 1, uint64(13), 1)
-	f.Add(4, 0, 2, uint64(17), 0)
-	f.Add(4, 2, 0, uint64(19), 2)
-	f.Fuzz(func(t *testing.T, pf, scenario, solution int, seed uint64, lockKind int) {
+	f.Add(3, 0, 2, uint64(11), 0, false)
+	f.Add(3, 1, 1, uint64(13), 1, false)
+	f.Add(4, 0, 2, uint64(17), 0, false)
+	f.Add(4, 2, 0, uint64(19), 2, false)
+	f.Fuzz(func(t *testing.T, pf, scenario, solution int, seed uint64, lockKind int, pipelined bool) {
 		presets := [][]platform.ProcessorSpec{
 			platform.ARMPair(), platform.PPCARm(), platform.PPCI486(),
 			{
@@ -69,12 +72,13 @@ func FuzzSchedulerEquivalence(f *testing.F) {
 						Alternate: scenarios[scenario].Alternate(),
 						SpinDelay: 4,
 					},
-					Verify:    true,
-					Audit:     true,
-					Profile:   true,
-					Spans:     true,
-					Scheduler: scheduler,
-					MaxCycles: 5_000_000,
+					PipelinedBus: pipelined,
+					Verify:       true,
+					Audit:        true,
+					Profile:      true,
+					Spans:        true,
+					Scheduler:    scheduler,
+					MaxCycles:    5_000_000,
 				},
 			}
 			return hetcc.RunBatch([]hetcc.BatchSpec{spec}, hetcc.BatchOptions{Jobs: 1, Reports: true})[0]

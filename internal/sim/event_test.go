@@ -196,6 +196,56 @@ func TestEventTieBreakRegistrationOrder(t *testing.T) {
 	}
 }
 
+// TestEventRunAgainTieRule: a component that is still the earliest pending
+// wake after its tick runs again at once, but only when it is strictly
+// first by (cycle, registration index).  A lower-index component due on the
+// same cycle runs before it, and a higher-index one after it, exactly as
+// under Step; the scheduler counters match a heap round trip per wake.
+func TestEventRunAgainTieRule(t *testing.T) {
+	const cycles = 9
+	for _, everyFirst := range []bool{false, true} {
+		e := NewEngine()
+		var order []string
+		add := func(name string, period uint64) {
+			w := &wakerFunc{}
+			w.tick = func(now uint64) { order = append(order, fmt.Sprintf("%s@%d", name, now)) }
+			w.next = func(uint64) (uint64, bool) { return period, true }
+			e.Register(name, 1, w)
+		}
+		if everyFirst {
+			add("every", 1)
+			add("third", 3)
+		} else {
+			add("third", 3)
+			add("every", 1)
+		}
+		e.UseEventScheduler()
+		if err := e.Run(cycles); !errors.Is(err, ErrMaxCycles) {
+			t.Fatalf("err = %v, want ErrMaxCycles", err)
+		}
+		var want []string
+		for c := 0; c < cycles; c++ {
+			if everyFirst {
+				want = append(want, fmt.Sprintf("every@%d", c))
+			}
+			if c%3 == 0 {
+				want = append(want, fmt.Sprintf("third@%d", c))
+			}
+			if !everyFirst {
+				want = append(want, fmt.Sprintf("every@%d", c))
+			}
+		}
+		if fmt.Sprint(order) != fmt.Sprint(want) {
+			t.Fatalf("everyFirst=%v: evaluation order %v, want %v", everyFirst, order, want)
+		}
+		st := e.SchedStats()
+		if st.Wakes != uint64(len(want)) || st.Passes != cycles || st.MaxHeapDepth != 2 || st.SkipBuckets[1] != cycles-1 {
+			t.Fatalf("everyFirst=%v: stats %+v, want %d wakes, %d passes, depth 2, %d adjacent jumps",
+				everyFirst, st, len(want), cycles, cycles-1)
+		}
+	}
+}
+
 // TestEventWakeInThePast: a wake targeting a cycle that already passed
 // degrades to "tick me at my next feasible edge" — the current cycle if the
 // target has not been evaluated this pass, the next local edge otherwise.

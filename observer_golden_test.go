@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"hetcc"
+	"hetcc/internal/metrics"
 	"hetcc/internal/platform"
 )
 
@@ -119,8 +120,10 @@ func TestTraceGolden(t *testing.T) {
 
 // TestMetricsGolden pins each run's "metrics" report section over the
 // 27-run determinism matrix with Metrics on, as a SHA-256 per run and
-// scheduler in testdata/metrics_digests.json.  The two schedulers differ
-// only in the event scheduler's own sched.* telemetry.
+// scheduler in testdata/metrics_digests.json.  The digest leaves out the
+// event scheduler's own sched.* telemetry (pinned apart, readably, by
+// TestSchedCounts), so the two schedulers must give the same digest run by
+// run, and a change in how the kernel schedules moves no digest here.
 func TestMetricsGolden(t *testing.T) {
 	got := goldenDigests{}
 	for _, scheduler := range schedulerModes {
@@ -137,12 +140,49 @@ func TestMetricsGolden(t *testing.T) {
 			if r.Report.Metrics == nil {
 				t.Fatalf("%s: no metrics section", r.Label)
 			}
-			raw, err := json.Marshal(r.Report.Metrics)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got[scheduler][r.Label] = sha256Hex(raw)
+			got[scheduler][r.Label] = schedFreeDigest(t, r.Report.Metrics)
 		}
 	}
+	checkSchedulersAgree(t, got)
 	checkGoldenDigests(t, filepath.Join("testdata", "metrics_digests.json"), got)
+}
+
+// schedFreeDigest is the SHA-256 of a metrics section's JSON with the
+// sched.* family removed: the part of the section both schedulers share.
+func schedFreeDigest(t *testing.T, s *metrics.Snapshot) string {
+	t.Helper()
+	free := metrics.Snapshot{
+		Counters:   dropSched(s.Counters),
+		Gauges:     dropSched(s.Gauges),
+		Histograms: dropSched(s.Histograms),
+		Series:     dropSched(s.Series),
+	}
+	raw, err := json.Marshal(&free)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sha256Hex(raw)
+}
+
+// dropSched copies m without its sched.* keys.
+func dropSched[V any](m map[string]V) map[string]V {
+	out := make(map[string]V, len(m))
+	for k, v := range m {
+		if !strings.HasPrefix(k, "sched.") {
+			out[k] = v
+		}
+	}
+	return out
+}
+
+// checkSchedulersAgree fails t for every run whose event-scheduler digest
+// differs from its tick-scheduler digest.
+func checkSchedulersAgree(t *testing.T, got goldenDigests) {
+	t.Helper()
+	event, tick := got[platform.SchedulerEvent], got[platform.SchedulerTick]
+	for label, d := range event {
+		if d != tick[label] {
+			t.Errorf("%s: event digest %s, tick digest %s", label, d, tick[label])
+		}
+	}
 }

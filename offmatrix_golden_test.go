@@ -11,7 +11,8 @@ import (
 )
 
 // offMatrixDigest is one pinned off-matrix run: its cycle count and the
-// SHA-256 of its profile and metrics report sections.
+// SHA-256 of its profile section and of its metrics section without the
+// sched.* family (see schedFreeDigest).
 type offMatrixDigest struct {
 	Cycles  uint64 `json:"cycles"`
 	Profile string `json:"profile"`
@@ -21,7 +22,8 @@ type offMatrixDigest struct {
 // TestOffMatrixDigests pins, per scheduler, the cycles and the profile and
 // metrics section digests of TestSchedulerEquivalenceOffMatrix's runs and
 // its dma-pipelined platform, with Metrics and Profile on, in
-// testdata/offmatrix_digests.json.  These runs reach the pipelined bus, the
+// testdata/offmatrix_digests.json.  Each run's entry must be the same under
+// both schedulers.  These runs reach the pipelined bus, the
 // Intel486WT write-through fill path and the DMA master, which the 27-run
 // matrix does not.  Regenerate with `go test -run TestOffMatrixDigests
 // -update .` only after an intended model change, and list each moved run.
@@ -35,11 +37,7 @@ func TestOffMatrixDigests(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		met, err := json.Marshal(rep.Metrics)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return offMatrixDigest{Cycles: cycles, Profile: sha256Hex(prof), Metrics: sha256Hex(met)}
+		return offMatrixDigest{Cycles: cycles, Profile: sha256Hex(prof), Metrics: schedFreeDigest(t, rep.Metrics)}
 	}
 	got := map[string]map[string]offMatrixDigest{}
 	for _, scheduler := range schedulerModes {
@@ -59,6 +57,11 @@ func TestOffMatrixDigests(t *testing.T) {
 		cycles, rep := runKitchenSink(t, scheduler, true)
 		runs["dma-pipelined"] = digest(t, "dma-pipelined", cycles, &rep)
 		got[scheduler] = runs
+	}
+	for label, d := range got[platform.SchedulerEvent] {
+		if tick := got[platform.SchedulerTick][label]; d != tick {
+			t.Errorf("%s: event %+v, tick %+v", label, d, tick)
+		}
 	}
 
 	path := filepath.Join("testdata", "offmatrix_digests.json")
