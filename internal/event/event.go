@@ -225,9 +225,16 @@ func (s *Sink) BusRequest(core int, busKind uint8, addr uint32, txn uint64) {
 // combined shared-signal sample, wait the bus cycles since submission and
 // latency the data phase's length in bus cycles.
 func (s *Sink) BusGrant(core int, busKind uint8, addr uint32, shared bool, txn, wait, latency uint64) {
-	if s == nil {
-		return
+	if s != nil {
+		s.busGrant(core, busKind, addr, shared, txn, wait, latency)
 	}
+}
+
+// busGrant is BusGrant's body, kept out of line so that BusGrant inlines to
+// the nil check at the bus.
+//
+//go:noinline
+func (s *Sink) busGrant(core int, busKind uint8, addr uint32, shared bool, txn, wait, latency uint64) {
 	s.emit(Record{Kind: BusGrant, Core: core, Addr: addr, BusKind: busKind, SharedOut: shared, Txn: txn, Wait: wait, Latency: latency})
 }
 
@@ -291,9 +298,15 @@ func (s *Sink) SharedOverride(core int, in, out bool) {
 // bus; wait is the bus cycles since submission, tenure the tenure's length
 // in engine cycles and retries the transaction's ARTRY count.
 func (s *Sink) BusComplete(core int, busKind uint8, addr uint32, txn, wait, tenure uint64, retries int) {
-	if s == nil {
-		return
+	if s != nil {
+		s.busComplete(core, busKind, addr, txn, wait, tenure, retries)
 	}
+}
+
+// busComplete is BusComplete's body, kept out of line like busGrant's.
+//
+//go:noinline
+func (s *Sink) busComplete(core int, busKind uint8, addr uint32, txn, wait, tenure uint64, retries int) {
 	s.emit(Record{Kind: BusComplete, Core: core, Addr: addr, BusKind: busKind, Txn: txn, Wait: wait, Latency: tenure, Retries: retries})
 }
 
