@@ -523,9 +523,13 @@ func (b *Bus) NextWake(uint64) (uint64, bool) {
 }
 
 // wakeSched asks the scheduler for a tick at the earliest feasible bus edge
-// (no-op in tick mode).
+// (no-op in tick mode).  A busy non-pipelined bus is not woken: its
+// completion edge is already pending (NextWake), and NextWake at that edge
+// finds the new work in the queues, so an earlier tick would only count a
+// data-phase cycle.  A pipelined bus may overlap the new work with the data
+// phase, so it is always woken.
 func (b *Bus) wakeSched() {
-	if b.sched != nil {
+	if b.sched != nil && (!b.busy || b.cfg.Pipelined) {
 		b.sched.Wake(b.sched.Now())
 	}
 }
