@@ -129,6 +129,21 @@ type Config struct {
 // Manager creates steppers for a particular lock configuration.
 type Manager struct {
 	cfg Config
+	// tasks holds each task's reusable steppers: a task drives one lock
+	// operation at a time, so Acquire and Release reset and hand out the
+	// same stepper every time instead of allocating one per critical
+	// section.
+	tasks []taskSteppers
+}
+
+// taskSteppers is one task's stepper set: one acquire stepper per lock
+// kind (only the configured kind's is used) and the release sequence.
+type taskSteppers struct {
+	tas      tasAcquire
+	cached   cachedTASAcquire
+	bakery   bakeryAcquire
+	peterson petersonAcquire
+	release  seqStepper
 }
 
 // NewManager validates cfg and returns a manager.
@@ -164,7 +179,7 @@ func NewManager(cfg Config) (*Manager, error) {
 	if cfg.SpinDelay < 0 {
 		return nil, fmt.Errorf("lock: negative spin delay")
 	}
-	return &Manager{cfg: cfg}, nil
+	return &Manager{cfg: cfg, tasks: make([]taskSteppers, cfg.Tasks)}, nil
 }
 
 // Locks returns the number of lock ids the manager serves.
@@ -183,69 +198,80 @@ func (m *Manager) layout(id int) *Layout {
 	return &m.cfg.Layouts[id]
 }
 
-// Acquire returns a stepper that obtains lock id for task.
-func (m *Manager) Acquire(task, id int) Stepper {
+func (m *Manager) steppers(task int) *taskSteppers {
 	if task < 0 || task >= m.cfg.Tasks {
 		panic(fmt.Sprintf("lock: task %d out of range", task))
 	}
-	lay := m.layout(id)
-	switch m.cfg.Kind {
-	case UncachedTAS:
-		return &tasAcquire{cfg: &m.cfg, lay: lay, task: task, kindRead: ReadUncached, kindRMW: RMWUncached}
-	case HardwareRegister:
-		// The device aperture is uncached by construction; the RMW is a
-		// single-cycle device access.
-		return &tasAcquire{cfg: &m.cfg, lay: lay, task: task, kindRead: ReadUncached, kindRMW: RMWUncached}
-	case CachedTAS:
-		return &cachedTASAcquire{cfg: &m.cfg, lay: lay, task: task}
-	case Bakery:
-		return &bakeryAcquire{cfg: &m.cfg, lay: lay, task: task}
-	case Peterson:
-		return &petersonAcquire{cfg: &m.cfg, lay: lay, task: task}
-	default:
-		panic(fmt.Sprintf("lock: unknown kind %v", m.cfg.Kind))
-	}
+	return &m.tasks[task]
 }
 
-// Release returns a stepper that releases lock id held by task.
-func (m *Manager) Release(task, id int) Stepper {
+// Acquire returns a stepper that obtains lock id for task.  The stepper is
+// the task's own and is reset by the task's next Acquire, so a task must
+// finish one acquisition before it starts the next.
+func (m *Manager) Acquire(task, id int) Stepper {
+	st := m.steppers(task)
 	lay := m.layout(id)
 	switch m.cfg.Kind {
 	case UncachedTAS, HardwareRegister:
-		return &seqStepper{ops: m.releaseOps(lay, task, WriteUncached)}
+		// The hardware register's aperture is uncached by construction;
+		// its RMW is a single-cycle device access.
+		st.tas = tasAcquire{cfg: &m.cfg, lay: lay, task: task, kindRead: ReadUncached, kindRMW: RMWUncached}
+		return &st.tas
 	case CachedTAS:
-		return &seqStepper{ops: m.releaseOps(lay, task, WriteCached)}
+		st.cached = cachedTASAcquire{cfg: &m.cfg, lay: lay, task: task}
+		return &st.cached
 	case Bakery:
-		ops := []MemOp{{Kind: WriteUncached, Addr: lay.Number[task], Val: 0}}
-		if m.cfg.Alternate {
-			ops = append(ops, MemOp{Kind: WriteUncached, Addr: lay.TurnWord, Val: uint32((task + 1) % m.cfg.Tasks)})
-		}
-		return &seqStepper{ops: ops}
+		st.bakery = bakeryAcquire{cfg: &m.cfg, lay: lay, task: task}
+		return &st.bakery
 	case Peterson:
-		// Dropping the flag releases; Peterson's own victim word doubles
-		// as turn hand-off, so Alternate needs no extra write.
-		return &seqStepper{ops: []MemOp{{Kind: WriteUncached, Addr: lay.Choosing[task], Val: 0}}}
+		st.peterson = petersonAcquire{cfg: &m.cfg, lay: lay, task: task}
+		return &st.peterson
 	default:
 		panic(fmt.Sprintf("lock: unknown kind %v", m.cfg.Kind))
 	}
 }
 
-func (m *Manager) releaseOps(lay *Layout, task int, wkind MemOpKind) []MemOp {
-	ops := []MemOp{{Kind: wkind, Addr: lay.LockWord, Val: 0}}
-	if m.cfg.Alternate {
-		ops = append(ops, MemOp{Kind: WriteUncached, Addr: lay.TurnWord, Val: uint32((task + 1) % m.cfg.Tasks)})
+// Release returns a stepper that releases lock id held by task.  Like
+// Acquire's, it is the task's own and is reset by the task's next Release.
+func (m *Manager) Release(task, id int) Stepper {
+	s := &m.steppers(task).release
+	lay := m.layout(id)
+	switch m.cfg.Kind {
+	case UncachedTAS, HardwareRegister:
+		s.reset(MemOp{Kind: WriteUncached, Addr: lay.LockWord})
+	case CachedTAS:
+		s.reset(MemOp{Kind: WriteCached, Addr: lay.LockWord})
+	case Bakery:
+		s.reset(MemOp{Kind: WriteUncached, Addr: lay.Number[task]})
+	case Peterson:
+		// Dropping the flag releases; Peterson's own victim word doubles
+		// as turn hand-off, so Alternate needs no extra write.
+		s.reset(MemOp{Kind: WriteUncached, Addr: lay.Choosing[task]})
+		return s
+	default:
+		panic(fmt.Sprintf("lock: unknown kind %v", m.cfg.Kind))
 	}
-	return ops
+	if m.cfg.Alternate {
+		s.ops[1] = MemOp{Kind: WriteUncached, Addr: lay.TurnWord, Val: uint32((task + 1) % m.cfg.Tasks)}
+		s.n = 2
+	}
+	return s
 }
 
-// seqStepper emits a fixed op sequence.
+// seqStepper emits a fixed sequence of at most two ops.
 type seqStepper struct {
-	ops []MemOp
-	i   int
+	ops  [2]MemOp
+	n, i int
+}
+
+// reset makes first the whole sequence.
+func (s *seqStepper) reset(first MemOp) {
+	*s = seqStepper{n: 1}
+	s.ops[0] = first
 }
 
 func (s *seqStepper) Step(uint32) (MemOp, bool) {
-	if s.i >= len(s.ops) {
+	if s.i >= s.n {
 		return MemOp{}, true
 	}
 	op := s.ops[s.i]
