@@ -2,6 +2,7 @@ package isa
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -137,6 +138,21 @@ func parseStatement(stmt string, it int) (Op, error) {
 		return nil
 	}
 	arg := func(n int) (int64, error) { return evalOperand(args[n], it) }
+	// count is the single operand of a counted op, rejected rather than
+	// truncated when Op.N cannot hold it.
+	count := func() (int32, error) {
+		if err := need(1); err != nil {
+			return 0, err
+		}
+		n, err := arg(0)
+		if err != nil {
+			return 0, err
+		}
+		if n < math.MinInt32 || n > math.MaxInt32 {
+			return 0, fmt.Errorf("%s count %d out of range", mnemonic, n)
+		}
+		return int32(n), nil
+	}
 
 	switch mnemonic {
 	case "nop":
@@ -185,32 +201,23 @@ func parseStatement(stmt string, it int) (Op, error) {
 		}
 		return Op{Kind: WaitEq, Addr: uint32(a), Val: uint32(v)}, nil
 	case "delay":
-		if err := need(1); err != nil {
-			return Op{}, err
-		}
-		n, err := arg(0)
+		n, err := count()
 		if err != nil {
 			return Op{}, err
 		}
-		return Op{Kind: Delay, N: int(n)}, nil
+		return Op{Kind: Delay, N: n}, nil
 	case "lock":
-		if err := need(1); err != nil {
-			return Op{}, err
-		}
-		n, err := arg(0)
+		n, err := count()
 		if err != nil {
 			return Op{}, err
 		}
-		return Op{Kind: LockAcquire, N: int(n)}, nil
+		return Op{Kind: LockAcquire, N: n}, nil
 	case "unlock":
-		if err := need(1); err != nil {
-			return Op{}, err
-		}
-		n, err := arg(0)
+		n, err := count()
 		if err != nil {
 			return Op{}, err
 		}
-		return Op{Kind: LockRelease, N: int(n)}, nil
+		return Op{Kind: LockRelease, N: n}, nil
 	case "clean":
 		if err := need(1); err != nil {
 			return Op{}, err

@@ -132,6 +132,11 @@ func TestAssembleErrors(t *testing.T) {
 		".repeat\nnop\n.end",         // missing count
 		"ld 1+",                      // dangling operator
 		".repeat 9999999\nnop\n.end", // absurd count
+		"delay 0x80000000",           // count beyond Op.N's 32 bits
+		"delay 0x100000001",          // would truncate to 1
+		"lock 4294967296",            // would truncate to 0
+		"unlock -2147483649",         // below Op.N's range
+		"delay -1",                   // negative (Validate)
 	}
 	for i, src := range cases {
 		if _, err := Assemble(src); err == nil {

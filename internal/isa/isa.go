@@ -8,10 +8,13 @@
 // simple linear fetch-execute machine with no branch state.
 package isa
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Kind enumerates the micro-operation kinds.
-type Kind int
+type Kind uint8
 
 const (
 	// Nop consumes one CPU cycle.
@@ -68,12 +71,13 @@ func (k Kind) String() string {
 }
 
 // Op is one micro-operation.  The meaning of Addr, Val and N depends on
-// Kind; unused fields are zero.
+// Kind; unused fields are zero.  An Op is 16 bytes: programs are the bulk
+// of a long run's memory, and a generator fills them op by op.
 type Op struct {
 	Kind Kind
 	Addr uint32
 	Val  uint32
-	N    int
+	N    int32
 }
 
 // String formats the op in a readable assembly-like syntax.
@@ -158,19 +162,19 @@ func (b *Builder) Write(addr, val uint32) *Builder {
 
 // Delay appends an n-cycle stall.
 func (b *Builder) Delay(n int) *Builder {
-	b.ops = append(b.ops, Op{Kind: Delay, N: n})
+	b.ops = append(b.ops, Op{Kind: Delay, N: opN(n)})
 	return b
 }
 
 // Lock appends an acquire of lock id.
 func (b *Builder) Lock(id int) *Builder {
-	b.ops = append(b.ops, Op{Kind: LockAcquire, N: id})
+	b.ops = append(b.ops, Op{Kind: LockAcquire, N: opN(id)})
 	return b
 }
 
 // Unlock appends a release of lock id.
 func (b *Builder) Unlock(id int) *Builder {
-	b.ops = append(b.ops, Op{Kind: LockRelease, N: id})
+	b.ops = append(b.ops, Op{Kind: LockRelease, N: opN(id)})
 	return b
 }
 
@@ -190,6 +194,15 @@ func (b *Builder) Inval(addr uint32) *Builder {
 func (b *Builder) WaitEq(addr, val uint32) *Builder {
 	b.ops = append(b.ops, Op{Kind: WaitEq, Addr: addr, Val: val})
 	return b
+}
+
+// opN converts a builder's count to Op.N, panicking on a count Op.N
+// cannot hold rather than truncating it.
+func opN(n int) int32 {
+	if n < math.MinInt32 || n > math.MaxInt32 {
+		panic(fmt.Sprintf("isa: count %d out of range", n))
+	}
+	return int32(n)
 }
 
 // Halt terminates the program and returns it.

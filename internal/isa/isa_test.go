@@ -1,9 +1,11 @@
 package isa
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestBuilderProducesValidProgram(t *testing.T) {
@@ -52,6 +54,36 @@ func TestValidateRejectsNegativeCount(t *testing.T) {
 	p := Program{{Kind: Delay, N: -1}, {Kind: Halt}}
 	if err := p.Validate(); err == nil {
 		t.Fatal("negative delay validated")
+	}
+}
+
+// TestOpIs16Bytes pins the op's layout: programs are the bulk of a long
+// run's memory.
+func TestOpIs16Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(Op{}); n != 16 {
+		t.Fatalf("sizeof(Op) = %d, want 16", n)
+	}
+}
+
+// TestBuilderRejectsOutOfRangeCount: a count Op.N cannot hold panics
+// instead of being truncated into a different, valid-looking count.
+func TestBuilderRejectsOutOfRangeCount(t *testing.T) {
+	for name, build := range map[string]func(){
+		"delay":  func() { NewBuilder().Delay(math.MaxInt32 + 2) },
+		"lock":   func() { NewBuilder().Lock(1 << 32) },
+		"unlock": func() { NewBuilder().Unlock(math.MinInt32 - 1) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: out-of-range count accepted", name)
+				}
+			}()
+			build()
+		}()
+	}
+	if p := NewBuilder().Delay(math.MaxInt32).Halt(); p[0].N != math.MaxInt32 || p.Validate() != nil {
+		t.Fatalf("largest count: %v, %v", p[0], p.Validate())
 	}
 }
 

@@ -20,6 +20,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 
 	"hetcc/internal/isa"
 	"hetcc/internal/platform"
@@ -157,6 +158,10 @@ func (p Params) Validate() error {
 	}
 	if p.BlockAffinityPct < 0 || p.BlockAffinityPct > 100 {
 		return fmt.Errorf("workload: block affinity must be 0..100%%, got %d", p.BlockAffinityPct)
+	}
+	// A delay op's count is 32 bits wide.
+	if p.PreDelay > math.MaxInt32 {
+		return fmt.Errorf("workload: pre-delay must be at most %d cycles, got %d", math.MaxInt32, p.PreDelay)
 	}
 	return nil
 }

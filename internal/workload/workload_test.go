@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -53,6 +54,8 @@ func TestParamsValidate(t *testing.T) {
 		{"words overflow the 7-bit word field", func(p *Params) { p.LineBytes, p.Lines, p.WordsPerLine = 1024, 4, 129 }, false},
 		{"round number fills 12 bits", func(p *Params) { p.Iterations = 4096 }, true},
 		{"round number overflows 12 bits", func(p *Params) { p.Iterations = 4097 }, false},
+		{"pre-delay fills a delay op's 32-bit count", func(p *Params) { p.PreDelay = math.MaxInt32 }, true},
+		{"pre-delay overflows a delay op's 32-bit count", func(p *Params) { p.PreDelay = math.MaxInt32 + 1 }, false},
 	}
 	for _, c := range cases {
 		p := Params{}.Defaults()
