@@ -18,11 +18,11 @@
 //   - tick: every registered component is ticked at every one of its local
 //     clock edges — the reference semantics;
 //   - event: components that implement Waker declare how many local clock
-//     edges away their next actionable edge lies, the engine keeps the
-//     pending wakes in an indexed min-heap keyed by (cycle, registration
-//     index), and Run jumps straight from one actionable cycle to the
-//     next.  Ties on the cycle break by registration index, so the
-//     intra-cycle evaluation order is exactly the tick-mode order.
+//     edges away their next actionable edge lies, the engine keeps one
+//     pending wake cycle per component, and Run jumps straight from one
+//     actionable cycle to the next.  Each cycle is evaluated as one walk
+//     over the components in registration order, so the intra-cycle
+//     evaluation order is exactly the tick-mode order.
 //     Components that also implement CatchUpper skip their idle edges and
 //     apply them in bulk when read: each brings itself current in its own
 //     Tick and, through Handle.Horizon, before another component reads it.
@@ -109,24 +109,31 @@ type Engine struct {
 	// evaluated yet this pass) or must move to the next local edge;
 	// Handle.Horizon, whether a reader sees the current cycle's edge.
 	passIdx int
-	due     []uint64 // per registration: scheduled wake cycle (valid when pos >= 0)
-	pos     []int32  // per registration: index into heap, -1 when not scheduled
-	heap    []int32  // indexed binary min-heap of registration indices
+	due     []uint64 // per registration: pending wake cycle, or dormant
+	pending int      // registrations with a pending wake
+	// nextDue is the earliest pending wake among the entries the pass in
+	// progress has walked (all of them between passes): the next pass's
+	// cycle.
+	nextDue uint64
 
 	sched    SchedStats
 	lastPass uint64
 	havePass bool
 }
 
-// SchedStats are the event scheduler's activity counters: how hard the wake
-// heap worked and how much idle time the scheduler actually skipped.  All
-// zero under the tick scheduler.
+// dormant is the wake-table entry of a component with no pending wake.
+const dormant = ^uint64(0)
+
+// SchedStats are the event scheduler's activity counters: how many wakes
+// it delivered and how much idle time it actually skipped.  All zero under
+// the tick scheduler.
 type SchedStats struct {
-	// Wakes counts component ticks delivered (min-heap pops).
+	// Wakes counts component ticks delivered.
 	Wakes uint64
 	// Passes counts evaluated cycles (each pass is one non-idle cycle).
 	Passes uint64
-	// MaxHeapDepth is the high-water mark of pending wakes.
+	// MaxHeapDepth is the high-water mark of pending wakes, counted each
+	// time a dormant component is scheduled.
 	MaxHeapDepth int
 	// SkipBuckets is a log2 histogram of the cycle distance between
 	// consecutive evaluated passes: bucket i counts jumps d with
@@ -209,7 +216,7 @@ func (h *Handle) Wake(at uint64) {
 	if rem != 0 {
 		at += div - rem
 	}
-	e.schedule(h.idx, at)
+	e.schedule(int(h.idx), at)
 }
 
 // Register adds a component ticked every div engine cycles (div >= 1).
@@ -296,12 +303,13 @@ func (e *Engine) runEvent(maxCycles uint64) error {
 	if e.due == nil {
 		e.initEventState()
 	}
-	for !e.stopped && len(e.heap) > 0 {
-		t := e.due[e.heap[0]]
-		if t >= maxCycles {
-			break
-		}
-		t = e.pass(t, maxCycles)
+	// Each pass finds the next one's cycle; only the first is searched for.
+	// A dormant table leaves nextDue at the sentinel, which no budget
+	// exceeds.
+	e.nextDue = e.minDue()
+	for !e.stopped && e.nextDue < maxCycles {
+		t := e.nextDue
+		e.pass(t)
 		if e.stopped {
 			e.catchUpAll(t)
 		}
@@ -325,164 +333,98 @@ func (e *Engine) catchUpAll(t uint64) {
 	}
 }
 
-// initEventState sizes the wake structure and schedules every component for
+// initEventState sizes the wake table and schedules every component for
 // cycle 0 (every divisor has an edge there, exactly as under Step).  All
-// allocation happens here, once: schedule and pop are allocation-free in
-// steady state (pinned by TestAllocsScheduler).
+// allocation happens here, once: schedule and pass are allocation-free
+// (pinned by TestAllocsScheduler).
 func (e *Engine) initEventState() {
-	n := len(e.regs)
-	e.due = make([]uint64, n)
-	e.pos = make([]int32, n)
-	e.heap = make([]int32, 0, n)
-	for i := range e.pos {
-		e.pos[i] = -1
+	e.due = make([]uint64, len(e.regs))
+	for i := range e.due {
+		e.due[i] = dormant
 	}
-	for i := 0; i < n; i++ {
-		e.schedule(int32(i), 0)
+	for i := range e.due {
+		e.schedule(i, 0)
 	}
 }
 
-// beginPass records the start of the pass that evaluates engine cycle t.
-func (e *Engine) beginPass(t uint64) {
+// minDue returns the earliest pending wake, or dormant when none is.
+func (e *Engine) minDue() uint64 {
+	m := dormant
+	for _, d := range e.due {
+		if d < m {
+			m = d
+		}
+	}
+	return m
+}
+
+// pass evaluates engine cycle t in one walk over the wake table in
+// registration order, ticking every component due at t: the tick-mode
+// intra-cycle order by construction.  Handle.Wake lets a wake land on t only
+// for a component the walk has not reached yet, so such a wake joins the
+// pass when the walk gets there; every other wake lands on t+1 or later.
+// passIdx tracks the component being evaluated, which is what Handle.Wake
+// and Handle.Horizon position against.
+//
+// The same walk finds the next pass's cycle: it takes the minimum of every
+// entry it steps over or leaves behind, and schedule lowers that minimum for
+// a wake on an entry already walked.  Every entry not yet walked is read
+// when the walk reaches it, so nextDue is the earliest pending wake when
+// the walk ends.
+func (e *Engine) pass(t uint64) {
 	if e.havePass {
 		e.sched.SkipBuckets[bits.Len64(t-e.lastPass)]++
 	}
 	e.lastPass, e.havePass = t, true
 	e.sched.Passes++
 	e.now = t
-}
-
-// pass evaluates engine cycle t: every component with a pending wake at t is
-// ticked in registration order.  Wakes scheduled during the pass for cycle
-// t by not-yet-evaluated components join the same pass; Handle.Wake forces
-// everything else to t+1 or later.  passIdx tracks the component being
-// evaluated, which is what Handle.Wake and Handle.Horizon position against.
-//
-// When a component's next wake is still strictly first by (cycle,
-// registration index) — nothing else is pending at t, and nothing is
-// pending before its next wake or at it from a lower index — it runs again
-// at once, in a new pass, without a heap round trip: the heap would have
-// handed it straight back.  The counters record exactly what the round trip
-// would have: one pass and one wake more, and the depth the push would have
-// reached.  pass returns the last cycle it evaluated, with now one past it.
-func (e *Engine) pass(t, maxCycles uint64) uint64 {
-	e.beginPass(t)
-	for len(e.heap) > 0 && e.due[e.heap[0]] == t {
-		idx := e.popMin()
-		for {
-			e.sched.Wakes++
-			e.passIdx = int(idx)
-			r := &e.regs[idx]
-			r.t.Tick(t)
-			// Fallback for components without a wake condition: plain
-			// per-divisor ticking, exactly as under the tick scheduler.
-			next := t + r.div
-			if r.waker != nil {
-				edges, ok := r.waker.NextWake(t)
-				if !ok {
-					break
-				}
-				if edges > 1 {
-					next = t + edges*r.div // 0 counts as 1: a waker must move forward
-				}
+	e.nextDue = dormant
+	for i := range e.due {
+		if d := e.due[i]; d != t {
+			if d < e.nextDue {
+				e.nextDue = d
 			}
-			if e.pos[idx] >= 0 || e.stopped || next >= maxCycles || !e.first(idx, next) {
-				e.schedule(idx, next)
-				break
-			}
-			if depth := len(e.heap) + 1; depth > e.sched.MaxHeapDepth {
-				e.sched.MaxHeapDepth = depth
-			}
-			t = next
-			e.beginPass(t)
+			continue
 		}
+		e.due[i] = dormant
+		e.pending--
+		e.sched.Wakes++
+		e.passIdx = i
+		r := &e.regs[i]
+		r.t.Tick(t)
+		// Fallback for components without a wake condition: plain
+		// per-divisor ticking, exactly as under the tick scheduler.
+		next := t + r.div
+		if r.waker != nil {
+			edges, ok := r.waker.NextWake(t)
+			if !ok {
+				continue // dormant, unless its tick woke it (already counted)
+			}
+			if edges > 1 {
+				next = t + edges*r.div // 0 counts as 1: a waker must move forward
+			}
+		}
+		e.schedule(i, next)
 	}
 	e.passIdx = -1
 	e.now = t + 1
-	return t
 }
 
-// first reports whether a wake of registration idx at cycle at would be the
-// heap minimum: strictly before every pending wake, by (cycle, index).
-func (e *Engine) first(idx int32, at uint64) bool {
-	if len(e.heap) == 0 {
-		return true
-	}
-	top := e.heap[0]
-	return at < e.due[top] || at == e.due[top] && idx < top
-}
-
-// schedule inserts or tightens the pending wake for registration idx
-// (keep-earliest dedup).
-func (e *Engine) schedule(idx int32, at uint64) {
-	if p := e.pos[idx]; p >= 0 {
-		if at >= e.due[idx] {
-			return
+// schedule sets or tightens the pending wake of registration idx
+// (keep-earliest dedup).  A wake on an entry the pass in progress has
+// already walked lowers the next pass's cycle; outside a pass, runEvent
+// searches the table afresh before its first pass.
+func (e *Engine) schedule(idx int, at uint64) {
+	if d := e.due[idx]; d == dormant {
+		e.pending++
+		if e.pending > e.sched.MaxHeapDepth {
+			e.sched.MaxHeapDepth = e.pending
 		}
-		e.due[idx] = at
-		e.siftUp(int(p))
+	} else if at >= d {
 		return
 	}
 	e.due[idx] = at
-	e.pos[idx] = int32(len(e.heap))
-	e.heap = append(e.heap, idx)
-	if len(e.heap) > e.sched.MaxHeapDepth {
-		e.sched.MaxHeapDepth = len(e.heap)
-	}
-	e.siftUp(len(e.heap) - 1)
-}
-
-func (e *Engine) popMin() int32 {
-	idx := e.heap[0]
-	last := len(e.heap) - 1
-	e.heap[0] = e.heap[last]
-	e.pos[e.heap[0]] = 0
-	e.heap = e.heap[:last]
-	e.pos[idx] = -1
-	if last > 0 {
-		e.siftDown(0)
-	}
-	return idx
-}
-
-// less orders the heap by (wake cycle, registration index): ties on the
-// cycle preserve tick-mode intra-cycle evaluation order.
-func (e *Engine) less(a, b int32) bool {
-	if e.due[a] != e.due[b] {
-		return e.due[a] < e.due[b]
-	}
-	return a < b
-}
-
-func (e *Engine) siftUp(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !e.less(e.heap[i], e.heap[parent]) {
-			return
-		}
-		e.heap[i], e.heap[parent] = e.heap[parent], e.heap[i]
-		e.pos[e.heap[i]] = int32(i)
-		e.pos[e.heap[parent]] = int32(parent)
-		i = parent
-	}
-}
-
-func (e *Engine) siftDown(i int) {
-	n := len(e.heap)
-	for {
-		best := i
-		if l := 2*i + 1; l < n && e.less(e.heap[l], e.heap[best]) {
-			best = l
-		}
-		if r := 2*i + 2; r < n && e.less(e.heap[r], e.heap[best]) {
-			best = r
-		}
-		if best == i {
-			return
-		}
-		e.heap[i], e.heap[best] = e.heap[best], e.heap[i]
-		e.pos[e.heap[i]] = int32(i)
-		e.pos[e.heap[best]] = int32(best)
-		i = best
+	if idx <= e.passIdx && at < e.nextDue {
+		e.nextDue = at
 	}
 }

@@ -464,33 +464,72 @@ func TestEventTickEquivalenceProperty(t *testing.T) {
 	}
 }
 
-// TestAllocsScheduler pins the steady-state wake structure at zero
+// TestAllocsScheduler pins the steady-state wake table at zero
 // allocations: all allocation happens once in initEventState, and
-// schedule/popMin on a warmed heap never allocate (the `make allocs` gate).
+// schedule and pass on a warmed table never allocate (the `make allocs`
+// gate).
 func TestAllocsScheduler(t *testing.T) {
 	e := NewEngine()
 	for i := 0; i < 8; i++ {
-		w := &wakerFunc{tick: func(uint64) {}}
-		w.next = func(uint64) (uint64, bool) { return 7, true }
-		e.Register(fmt.Sprintf("w%d", i), 1, w)
+		// Dormant after every tick, so each round drains the table.
+		e.Register(fmt.Sprintf("w%d", i), 1, &wakerFunc{tick: func(uint64) {}})
 	}
 	e.UseEventScheduler()
 	e.initEventState()
-	for len(e.heap) > 0 {
-		e.popMin()
-	}
+	e.pass(0)
 	avg := testing.AllocsPerRun(200, func() {
 		base := e.now
-		for i := int32(0); i < 8; i++ {
+		for i := 0; i < 8; i++ {
 			e.schedule(i, base+uint64(13-i))
 		}
 		e.schedule(3, base+1) // tighten a pending wake
-		for len(e.heap) > 0 {
-			e.popMin()
+		for e.nextDue = e.minDue(); e.pending > 0; {
+			e.pass(e.nextDue)
 		}
-		e.now += 20
 	})
 	if avg != 0 {
-		t.Fatalf("schedule/pop steady state allocates %.1f times per run, want 0", avg)
+		t.Fatalf("schedule/pass steady state allocates %.1f times per run, want 0", avg)
+	}
+}
+
+// TestEventWakeJoinsPass: a wake at the current cycle to a dormant
+// component the pass has not reached yet (a higher registration index)
+// runs it in the same pass; a wake to a lower or the same index waits for
+// its next edge, exactly as under Step, where those components have
+// already been ticked this cycle.
+func TestEventWakeJoinsPass(t *testing.T) {
+	e := NewEngine()
+	var order []string
+	var ha, hb, hc *Handle
+	rec := func(name string) func(uint64) {
+		return func(now uint64) { order = append(order, fmt.Sprintf("%s@%d", name, now)) }
+	}
+	b := &wakerFunc{}
+	b.tick = func(now uint64) {
+		order = append(order, fmt.Sprintf("b@%d", now))
+		if now == 2 {
+			hb.Wake(now) // itself: next edge
+			ha.Wake(now) // lower index, already evaluated: next edge
+			hc.Wake(now) // higher index, not reached yet: this pass
+			hc.Wake(now) // a duplicate changes nothing
+		}
+	}
+	b.next = func(now uint64) (uint64, bool) { return 2, now == 0 }
+	ha = e.Register("a", 1, &wakerFunc{tick: rec("a")})
+	hb = e.Register("b", 1, b)
+	hc = e.Register("c", 1, &wakerFunc{tick: rec("c")})
+	e.UseEventScheduler()
+	if err := e.Run(10); !errors.Is(err, ErrMaxCycles) {
+		t.Fatalf("err = %v, want ErrMaxCycles", err)
+	}
+	want := []string{"a@0", "b@0", "c@0", "b@2", "c@2", "a@3", "b@3"}
+	if fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Fatalf("evaluation order %v, want %v", order, want)
+	}
+	// Passes at 0, 2 and 3; every component pending at once twice (after
+	// initialisation, and after b's wakes at cycle 2).
+	st := e.SchedStats()
+	if st.Wakes != uint64(len(want)) || st.Passes != 3 || st.MaxHeapDepth != 3 {
+		t.Fatalf("stats %+v, want %d wakes, 3 passes, depth 3", st, len(want))
 	}
 }
