@@ -102,3 +102,32 @@ func TestAllocsSnoopBroadcast(t *testing.T) {
 		t.Fatalf("snoop broadcast round trip allocates %.1f/op, want 0", n)
 	}
 }
+
+// TestAllocsPipelinedOverlap: on a pipelined bus, a tenure whose address
+// phase overlaps another's data phase is prepared in place, so an
+// overlapped pair of line fills is as allocation-free as a lone one.
+func TestAllocsPipelinedOverlap(t *testing.T) {
+	mem := memory.New()
+	bs := New(Config{Timing: memory.DefaultTiming(), Pipelined: true}, mem)
+	m0 := bs.AddMaster("m0")
+	m1 := bs.AddMaster("m1")
+	var cycle uint64
+	a := Transaction{Master: m0, Kind: ReadLine, Addr: 0x400, Words: 8}
+	b := Transaction{Master: m1, Kind: ReadLine, Addr: 0x800, Words: 8}
+	pair := func() {
+		bs.Submit(&a, nil)
+		bs.Submit(&b, nil)
+		for !bs.Idle() {
+			bs.Tick(cycle)
+			cycle++
+		}
+	}
+	pair() // warm-up: pending rings, fill pool, memory pages
+	before := bs.Stats().Overlapped
+	if n := testing.AllocsPerRun(100, pair); n != 0 {
+		t.Fatalf("overlapped tenure pair allocates %.1f/op, want 0", n)
+	}
+	if after := bs.Stats().Overlapped; after <= before {
+		t.Fatalf("no tenure overlapped (%d -> %d); test is not exercising the pipelined path", before, after)
+	}
+}

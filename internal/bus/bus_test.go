@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"hetcc/internal/memory"
+	"hetcc/internal/sim"
 )
 
 func newTestBus(t *testing.T) (*Bus, *memory.Memory) {
@@ -525,5 +526,47 @@ func TestMasterLatencyCharged(t *testing.T) {
 	slow := timeIt(3)
 	if slow != base+3 {
 		t.Fatalf("latency not charged: %d vs %d+3", slow, base)
+	}
+}
+
+// TestEventSyncDivisors: a bus bound to the event scheduler ends a run with
+// the same bus cycle count and busy/idle split as a tick-mode bus, for
+// power-of-two clock divisors (sync shifts) and others (sync divides).
+func TestEventSyncDivisors(t *testing.T) {
+	run := func(div uint64, event bool) (Stats, uint64) {
+		e := sim.NewEngine()
+		bs := New(Config{Timing: memory.DefaultTiming()}, memory.New())
+		m := bs.AddMaster("m")
+		txn := Transaction{Master: m, Kind: ReadLine, Addr: 0x400, Words: 8}
+		inFlight := false
+		done := func(Result) { inFlight = false }
+		// The driver ticks every engine cycle; the bus skips its idle and
+		// data-phase edges in between.
+		e.Register("driver", 1, sim.TickFunc(func(now uint64) {
+			if now%50 == 7 && !inFlight {
+				inFlight = true
+				bs.Submit(&txn, done)
+			}
+		}))
+		h := e.Register("bus", div, bs)
+		if event {
+			e.UseEventScheduler()
+			bs.BindScheduler(h)
+		}
+		if err := e.Run(400); !errors.Is(err, sim.ErrMaxCycles) {
+			t.Fatalf("div %d: err = %v, want ErrMaxCycles", div, err)
+		}
+		return bs.Stats(), bs.Cycle()
+	}
+	for _, div := range []uint64{1, 2, 3, 4} {
+		tickStats, tickCycle := run(div, false)
+		evStats, evCycle := run(div, true)
+		if evStats != tickStats || evCycle != tickCycle {
+			t.Fatalf("div %d: event bus at cycle %d with %+v, tick bus at cycle %d with %+v",
+				div, evCycle, evStats, tickCycle, tickStats)
+		}
+		if tickStats.Completed == 0 || tickStats.IdleCycles == 0 {
+			t.Fatalf("div %d: run completed %d tenures over %d idle cycles; want both nonzero", div, tickStats.Completed, tickStats.IdleCycles)
+		}
 	}
 }

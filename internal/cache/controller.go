@@ -254,7 +254,7 @@ func (ctl *Controller) accessWriteThrough(write bool, addr, val uint32, done fun
 		ctl.busy = true
 		ctl.reqDone = done
 		ctl.events.MemAccess(ctl.masterID, addr, true)
-		ctl.reqTxn = bus.Transaction{Master: ctl.masterID, Kind: bus.WriteWord, Addr: addr, Val: val, Words: 1}
+		ctl.reqTxn.Reset(ctl.masterID, bus.WriteWord, addr, 1, val, nil)
 		if l != nil && !l.flushPending {
 			ctl.cache.stats.WriteHits++
 			l.Data[ctl.cache.WordIndex(addr)] = val
@@ -287,7 +287,7 @@ func (ctl *Controller) accessWriteThrough(write bool, addr, val uint32, done fun
 	ctl.reqDone = done
 	ctl.reqVictim = victim
 	ctl.events.MemAccess(ctl.masterID, addr, false)
-	ctl.reqTxn = bus.Transaction{Master: ctl.masterID, Kind: bus.ReadLine, Addr: cfg.LineAddr(addr), Words: cfg.WordsPerLine()}
+	ctl.reqTxn.Reset(ctl.masterID, bus.ReadLine, cfg.LineAddr(addr), cfg.WordsPerLine(), 0, nil)
 	ctl.bus.Submit(&ctl.reqTxn, ctl.wtReadDoneFn)
 	return Pending, 0
 }
@@ -325,9 +325,9 @@ func (ctl *Controller) writeWithBus(op coherence.BusOp, next coherence.State, ad
 	switch op {
 	case coherence.BusUpgr:
 		ctl.cache.stats.Upgrades++
-		ctl.reqTxn = bus.Transaction{Master: ctl.masterID, Kind: bus.Upgrade, Addr: base, Words: ctl.cache.Config().WordsPerLine()}
+		ctl.reqTxn.Reset(ctl.masterID, bus.Upgrade, base, ctl.cache.Config().WordsPerLine(), 0, nil)
 	case coherence.BusUpd:
-		ctl.reqTxn = bus.Transaction{Master: ctl.masterID, Kind: bus.UpdateWord, Addr: addr, Val: val, Words: 1}
+		ctl.reqTxn.Reset(ctl.masterID, bus.UpdateWord, addr, 1, val, nil)
 	default:
 		panic(fmt.Sprintf("cache %s: write hit needs unsupported bus op %v", ctl.name, op))
 	}
@@ -383,7 +383,7 @@ func (ctl *Controller) missFill(write bool, addr, val uint32, done func(uint32))
 	ctl.reqWrite, ctl.reqAddr, ctl.reqVal = write, addr, val
 	ctl.reqDone, ctl.reqVictim = done, victim
 	ctl.events.MemAccess(ctl.masterID, addr, write)
-	ctl.reqTxn = bus.Transaction{Master: ctl.masterID, Kind: kind, Addr: base, Words: cfg.WordsPerLine()}
+	ctl.reqTxn.Reset(ctl.masterID, kind, base, cfg.WordsPerLine(), 0, nil)
 	ctl.bus.Submit(&ctl.reqTxn, ctl.fillDoneFn)
 }
 
@@ -441,7 +441,7 @@ func (ctl *Controller) evict(l *Line) {
 		j.base = base
 		j.setData(l.Data)
 		ctl.pendingWB[base] = struct{}{}
-		j.txn = bus.Transaction{Master: ctl.masterID, Kind: bus.WriteLine, Addr: base, Data: j.buf}
+		j.txn.Reset(ctl.masterID, bus.WriteLine, base, 0, 0, j.buf)
 		ctl.bus.Submit(&j.txn, j.doneFn)
 	}
 	if ctl.upgradeLive && base == ctl.upgradeBase {
@@ -465,7 +465,7 @@ func (ctl *Controller) Uncached(kind bus.Kind, addr, val uint32, done func(uint3
 	}
 	ctl.busy = true
 	ctl.reqDone = done
-	ctl.reqTxn = bus.Transaction{Master: ctl.masterID, Kind: kind, Addr: addr, Val: val, Words: 1}
+	ctl.reqTxn.Reset(ctl.masterID, kind, addr, 1, val, nil)
 	ctl.bus.Submit(&ctl.reqTxn, ctl.uncachedDoneFn)
 	return Pending
 }
@@ -502,7 +502,7 @@ func (ctl *Controller) Clean(addr uint32, done func()) Status {
 	j.setData(l.Data)
 	ctl.pendingWB[base] = struct{}{}
 	ctl.invalidateLine(l)
-	j.txn = bus.Transaction{Master: ctl.masterID, Kind: bus.WriteLine, Addr: base, Data: j.buf}
+	j.txn.Reset(ctl.masterID, bus.WriteLine, base, 0, 0, j.buf)
 	ctl.bus.Submit(&j.txn, j.doneFn)
 	return Pending
 }
@@ -574,7 +574,7 @@ func (ctl *Controller) SnoopBus(t *bus.Transaction) bus.SnoopReply {
 		j.kind = wbFlush
 		j.line = l
 		j.setData(l.Data)
-		j.txn = bus.Transaction{Master: ctl.masterID, Kind: bus.WriteLine, Addr: l.Base, Data: j.buf}
+		j.txn.Reset(ctl.masterID, bus.WriteLine, l.Base, 0, 0, j.buf)
 		ctl.bus.SubmitFlush(&j.txn, j.doneFn)
 		ctl.bus.PreferNext(ctl.masterID)
 		return bus.SnoopReply{Retry: true, Drain: true}

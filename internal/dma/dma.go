@@ -210,25 +210,14 @@ func (e *Engine) Tick(uint64) {
 	switch e.ph {
 	case reading:
 		e.pending = true
-		e.txn = bus.Transaction{
-			Master: e.master,
-			Kind:   bus.ReadLine,
-			Addr:   e.src + e.offset,
-			Words:  e.lineBytes / 4,
-		}
+		e.txn.Reset(e.master, bus.ReadLine, e.src+e.offset, e.lineBytes/4, 0, nil)
 		e.bus.Submit(&e.txn, e.readDoneFn)
 	case writing:
 		e.pending = true
 		// The write consumes lineBuf directly: the bus samples Data during
 		// the address/data phase, and the next read cannot overwrite the
 		// buffer before this write completes (one transaction outstanding).
-		e.txn = bus.Transaction{
-			Master: e.master,
-			Kind:   bus.WriteLineInv,
-			Addr:   e.dst + e.offset,
-			Words:  e.lineBytes / 4,
-			Data:   e.lineBuf,
-		}
+		e.txn.Reset(e.master, bus.WriteLineInv, e.dst+e.offset, e.lineBytes/4, 0, e.lineBuf)
 		e.bus.Submit(&e.txn, e.writeDoneFn)
 	default:
 		panic(fmt.Sprintf("dma: busy in phase %d", e.ph))
