@@ -168,66 +168,6 @@ func BenchmarkFigure8MissPenalty(b *testing.B) {
 
 // --- Substrate micro-benchmarks ----------------------------------------------
 
-// BenchmarkObserverCost prices each observer layer on the reference WCS run
-// (PF2, Proposed, 16 lines, exec time 2): one arm with no observer, one per
-// observer and one with all of them.  An arm's cost is its ns/op and
-// allocs/op over base's (EXPERIMENTS.md "Observer cost").  Every arm also
-// holds the observer contract: a Result section is present exactly when its
-// observer is on, the auditor finds no violation, and the run takes base's
-// simulated cycles, since observers only watch.
-func BenchmarkObserverCost(b *testing.B) {
-	arms := []struct {
-		name string
-		on   func(*Config)
-	}{
-		{"base", func(*Config) {}},
-		{"metrics", func(c *Config) { c.Metrics = true }},
-		{"audit", func(c *Config) { c.Audit = true }},
-		{"profile", func(c *Config) { c.Profile = true }},
-		{"spans", func(c *Config) { c.Spans = true }},
-		{"sharing", func(c *Config) { c.Sharing = true }},
-		{"all", func(c *Config) { c.Metrics, c.Audit, c.Profile, c.Spans, c.Sharing = true, true, true, true, true }},
-	}
-	ref := Config{Scenario: WCS, Solution: Proposed, Params: Params{Lines: 16, ExecTime: 2}}
-	base := MustRun(ref)
-	if base.Err != nil {
-		b.Fatal(base.Err)
-	}
-	for _, arm := range arms {
-		cfg := ref
-		arm.on(&cfg)
-		b.Run(arm.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				res, err := Run(cfg)
-				if err != nil || res.Err != nil {
-					b.Fatal(err, res.Err)
-				}
-				if res.Cycles != base.Cycles {
-					b.Fatalf("run took %d cycles, base took %d", res.Cycles, base.Cycles)
-				}
-				for _, s := range []struct {
-					name        string
-					on, present bool
-				}{
-					{"metrics", cfg.Metrics, res.Metrics != nil},
-					{"audit", cfg.Audit, res.Audit != nil},
-					{"profile", cfg.Profile, res.Profile != nil},
-					{"spans", cfg.Spans, res.CriticalPath != nil},
-					{"sharing", cfg.Sharing, res.Sharing != nil},
-				} {
-					if s.on != s.present {
-						b.Fatalf("%s section present=%v with the observer on=%v", s.name, s.present, s.on)
-					}
-				}
-				if res.Audit != nil && res.Audit.ViolationCount != 0 {
-					b.Fatalf("audited run violated invariants: %v", res.Audit.Violations)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkModelCheck measures the wrapped exploration of the heaviest
 // 3-master mix.
 func BenchmarkModelCheck(b *testing.B) {

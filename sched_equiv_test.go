@@ -42,7 +42,7 @@ func TestSchedulerEquivalenceOffMatrix(t *testing.T) {
 		var cycles [2]uint64
 		var reports [2]platform.Report
 		for i, sched := range schedulerModes {
-			cycles[i], reports[i] = runKitchenSink(t, sched, false)
+			cycles[i], reports[i] = runKitchenSink(t, sched, nil)
 		}
 		compareReports(t, "dma-pipelined", cycles[0], cycles[1], &reports[0], &reports[1])
 	})
@@ -105,9 +105,14 @@ func offMatrixSpecs() []hetcc.BatchSpec {
 // runKitchenSink runs platform_test.go's every-feature platform (pipelined
 // bus, DMA engine, wrapper latency, write-through i486, two locks, race
 // checker) without its waveform probe, which would force the tick scheduler.
-// metrics switches the metrics registry on as well.
-func runKitchenSink(t *testing.T, scheduler string, metrics bool) (uint64, platform.Report) {
+// Auditing, profiling and spans are on; on, when not nil, switches further
+// observers on.
+func runKitchenSink(t *testing.T, scheduler string, on func(*hetcc.Config)) (uint64, platform.Report) {
 	t.Helper()
+	obs := hetcc.Config{Audit: true, Profile: true, Spans: true}
+	if on != nil {
+		on(&obs)
+	}
 	specs := []platform.ProcessorSpec{platform.PowerPC755(), platform.Intel486WT(), platform.ARM920T()}
 	for i := range specs {
 		specs[i].WrapperLatency = 1
@@ -120,10 +125,13 @@ func runKitchenSink(t *testing.T, scheduler string, metrics bool) (uint64, platf
 		RaceCheck:    true,
 		PipelinedBus: true,
 		DMA:          true,
-		Audit:        true,
-		Profile:      true,
-		Spans:        true,
-		Metrics:      metrics,
+		TraceCap:     obs.TraceCap,
+		Metrics:      obs.Metrics,
+		Audit:        obs.Audit,
+		EventLog:     obs.EventLog,
+		Profile:      obs.Profile,
+		Spans:        obs.Spans,
+		Sharing:      obs.Sharing,
 		Scheduler:    scheduler,
 	})
 	if err != nil {
