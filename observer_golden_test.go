@@ -118,35 +118,6 @@ func TestTraceGolden(t *testing.T) {
 	checkGoldenDigests(t, filepath.Join("testdata", "trace_digests.json"), got)
 }
 
-// TestMetricsGolden pins each run's "metrics" report section over the
-// 27-run determinism matrix with Metrics on, as a SHA-256 per run and
-// scheduler in testdata/metrics_digests.json.  The digest leaves out the
-// event scheduler's own sched.* telemetry (pinned apart, readably, by
-// TestSchedCounts), so the two schedulers must give the same digest run by
-// run, and a change in how the kernel schedules moves no digest here.
-func TestMetricsGolden(t *testing.T) {
-	got := goldenDigests{}
-	for _, scheduler := range schedulerModes {
-		specs := determinismBatch(t, scheduler)
-		for i := range specs {
-			specs[i].Config.Metrics = true
-		}
-		results := hetcc.RunBatch(specs, hetcc.BatchOptions{Jobs: 2, Reports: true})
-		if err := hetcc.BatchFirstError(results); err != nil {
-			t.Fatal(err)
-		}
-		got[scheduler] = map[string]string{}
-		for _, r := range results {
-			if r.Report.Metrics == nil {
-				t.Fatalf("%s: no metrics section", r.Label)
-			}
-			got[scheduler][r.Label] = schedFreeDigest(t, r.Report.Metrics)
-		}
-	}
-	checkSchedulersAgree(t, got)
-	checkGoldenDigests(t, filepath.Join("testdata", "metrics_digests.json"), got)
-}
-
 // schedFreeDigest is the SHA-256 of a metrics section's JSON with the
 // sched.* family removed: the part of the section both schedulers share.
 func schedFreeDigest(t *testing.T, s *metrics.Snapshot) string {
@@ -173,16 +144,4 @@ func dropSched[V any](m map[string]V) map[string]V {
 		}
 	}
 	return out
-}
-
-// checkSchedulersAgree fails t for every run whose event-scheduler digest
-// differs from its tick-scheduler digest.
-func checkSchedulersAgree(t *testing.T, got goldenDigests) {
-	t.Helper()
-	event, tick := got[platform.SchedulerEvent], got[platform.SchedulerTick]
-	for label, d := range event {
-		if d != tick[label] {
-			t.Errorf("%s: event digest %s, tick digest %s", label, d, tick[label])
-		}
-	}
 }
