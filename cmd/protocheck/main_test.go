@@ -3,9 +3,12 @@ package main
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"testing"
+
+	"hetcc/internal/coherence"
 )
 
 // runMainEnv marks a re-executed test binary that must run protocheck's
@@ -82,5 +85,27 @@ func TestExitCodes(t *testing.T) {
 				t.Errorf("protocheck %v: exit %d, want %d", c.args, code, c.want)
 			}
 		})
+	}
+}
+
+// TestParseProtocols: -protocols takes 2 to explore.MaxMasters known
+// protocol names, in any case, and rejects empty and unknown names.
+func TestParseProtocols(t *testing.T) {
+	cases := []struct {
+		in   string
+		want []coherence.Kind // nil: rejected
+	}{
+		{"mei,none", []coherence.Kind{coherence.MEI, coherence.None}},
+		{"MESI,MOESI,MSI,MEI", []coherence.Kind{coherence.MESI, coherence.MOESI, coherence.MSI, coherence.MEI}},
+		{"MEI,,MESI", nil},
+		{"MEI", nil},
+		{"FOO,MEI", nil},
+		{"MEI,MESI,MOESI,MSI,MEI", nil},
+	}
+	for _, c := range cases {
+		got, err := parseProtocols(c.in)
+		if (err == nil) != (c.want != nil) || fmt.Sprint(got) != fmt.Sprint(c.want) {
+			t.Errorf("parseProtocols(%q) = %v, %v; want %v", c.in, got, err, c.want)
+		}
 	}
 }
