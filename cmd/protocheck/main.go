@@ -278,27 +278,20 @@ func withinAllowed(observed []string, allowed []coherence.State) bool {
 	return true
 }
 
+// parseProtocols reads a comma-separated list of 2..explore.MaxMasters
+// protocol names; "none" is a master without coherence hardware, for which
+// core.Reduce plans TAG-CAM snoop logic.
 func parseProtocols(s string) ([]coherence.Kind, error) {
 	var out []coherence.Kind
 	for _, part := range strings.Split(s, ",") {
-		switch strings.ToUpper(strings.TrimSpace(part)) {
-		case "MEI":
-			out = append(out, coherence.MEI)
-		case "MSI":
-			out = append(out, coherence.MSI)
-		case "MESI":
-			out = append(out, coherence.MESI)
-		case "MOESI":
-			out = append(out, coherence.MOESI)
-		case "DRAGON":
-			out = append(out, coherence.Dragon)
-		case "NONE":
-			// A master without coherence hardware: core.Reduce plans
-			// TAG-CAM snoop logic for it.
-			out = append(out, coherence.None)
-		default:
-			return nil, fmt.Errorf("unknown protocol %q", part)
+		if strings.TrimSpace(part) == "" {
+			return nil, fmt.Errorf("empty protocol name in %q", s)
 		}
+		k, err := platform.ParseProtocol(part)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, k)
 	}
 	if len(out) < 2 || len(out) > explore.MaxMasters {
 		return nil, fmt.Errorf("need 2..%d protocols, got %d", explore.MaxMasters, len(out))
