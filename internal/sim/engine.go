@@ -110,7 +110,6 @@ type Engine struct {
 	// Handle.Horizon, whether a reader sees the current cycle's edge.
 	passIdx int
 	due     []uint64 // per registration: pending wake cycle, or dormant
-	pending int      // registrations with a pending wake
 	// nextDue is the earliest pending wake among the entries the pass in
 	// progress has walked (all of them between passes): the next pass's
 	// cycle.
@@ -132,9 +131,6 @@ type SchedStats struct {
 	Wakes uint64
 	// Passes counts evaluated cycles (each pass is one non-idle cycle).
 	Passes uint64
-	// MaxHeapDepth is the high-water mark of pending wakes, counted each
-	// time a dormant component is scheduled.
-	MaxHeapDepth int
 	// SkipBuckets is a log2 histogram of the cycle distance between
 	// consecutive evaluated passes: bucket i counts jumps d with
 	// bits.Len64(d) == i, so bucket 1 is adjacent cycles (nothing skipped)
@@ -387,7 +383,6 @@ func (e *Engine) pass(t uint64) {
 			continue
 		}
 		e.due[i] = dormant
-		e.pending--
 		e.sched.Wakes++
 		e.passIdx = i
 		r := &e.regs[i]
@@ -415,12 +410,7 @@ func (e *Engine) pass(t uint64) {
 // already walked lowers the next pass's cycle; outside a pass, runEvent
 // searches the table afresh before its first pass.
 func (e *Engine) schedule(idx int, at uint64) {
-	if d := e.due[idx]; d == dormant {
-		e.pending++
-		if e.pending > e.sched.MaxHeapDepth {
-			e.sched.MaxHeapDepth = e.pending
-		}
-	} else if at >= d {
+	if at >= e.due[idx] {
 		return
 	}
 	e.due[idx] = at

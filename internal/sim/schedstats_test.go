@@ -37,9 +37,6 @@ func TestSchedStats(t *testing.T) {
 	if st.Wakes != 10 || st.Passes != 10 {
 		t.Fatalf("wakes %d, passes %d, want 10 each", st.Wakes, st.Passes)
 	}
-	if st.MaxHeapDepth != 1 {
-		t.Fatalf("max heap depth %d, want 1 (single component)", st.MaxHeapDepth)
-	}
 	// Nine 8-cycle jumps between the ten passes: bits.Len64(8) == 4.
 	for i, n := range st.SkipBuckets {
 		want := uint64(0)
