@@ -18,7 +18,6 @@ import (
 	"strings"
 
 	"hetcc"
-	"hetcc/internal/bus"
 	"hetcc/internal/chrometrace"
 	"hetcc/internal/delta"
 	"hetcc/internal/isa"
@@ -327,7 +326,7 @@ func main() {
 		f, err := os.Create(*spansPath)
 		fatalIf(err)
 		w := bufio.NewWriter(f)
-		fatalIf(p.Spans().WriteJSONL(w, busKindName))
+		fatalIf(p.Spans().WriteJSONL(w))
 		fatalIf(w.Flush())
 		fatalIf(f.Close())
 		fmt.Printf("transaction spans written to %s (%d transactions, %d dropped)\n",
@@ -478,9 +477,6 @@ func parseLock(s string) (platform.LockKind, error) {
 		return 0, fmt.Errorf("unknown lock %q", s)
 	}
 }
-
-// busKindName names raw bus transaction kinds in the spans export.
-func busKindName(k uint8) string { return bus.Kind(k).String() }
 
 // printExplain renders the critical-path analysis: where every cycle of the
 // last-retiring core went, and the transactions it spent the longest blocked

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+
+	"hetcc/internal/bus"
 )
 
 // Cohort aggregates the bus transactions of one (master, op, line base)
@@ -86,18 +88,15 @@ type cohortKey struct {
 
 // Cohorts aggregates the collector's transactions and stall links into the
 // per-(master, op, line) cohort summary.  anchor is the critical core from
-// Compute, total the run length; masterName/busName label components and ops
-// (nil falls back to numeric labels).  Call after Finish; returns nil for a
-// nil collector.
-func Cohorts(c *Collector, anchor int, total uint64, masterName func(int) string, busName func(uint8) string) *CohortSummary {
+// Compute, total the run length; masterName labels components (nil falls
+// back to numeric labels).  Call after Finish; returns nil for a nil
+// collector.
+func Cohorts(c *Collector, anchor int, total uint64, masterName func(int) string) *CohortSummary {
 	if c == nil {
 		return nil
 	}
 	if masterName == nil {
 		masterName = func(id int) string { return fmt.Sprintf("master %d", id) }
-	}
-	if busName == nil {
-		busName = func(k uint8) string { return fmt.Sprintf("Kind(%d)", k) }
 	}
 	s := &CohortSummary{Anchor: anchor, TotalCycles: total}
 	// index maps a cohort's key to its place in s.Cohorts.
@@ -111,7 +110,7 @@ func Cohorts(c *Collector, anchor int, total uint64, masterName func(int) string
 			s.Cohorts = append(s.Cohorts, Cohort{
 				Master:    k.master,
 				Component: masterName(k.master),
-				Op:        busName(k.kind),
+				Op:        bus.Kind(k.kind).String(),
 				Line:      fmt.Sprintf("0x%08x", k.line),
 				kind:      k.kind,
 			})

@@ -42,7 +42,7 @@ func TestCohortsPartitionIsExact(t *testing.T) {
 	c := cohortFixture(t)
 	s := Cohorts(c, 0, 100, func(id int) string {
 		return []string{"ppc", "arm"}[id]
-	}, func(k uint8) string { return bus.Kind(k).String() })
+	})
 	if s == nil {
 		t.Fatal("nil summary from a live collector")
 	}
@@ -85,11 +85,11 @@ func TestCohortsPartitionIsExact(t *testing.T) {
 // TestCohortsNilAndOrdering: nil collectors yield nil, and cohorts sort
 // deterministically by (master, op kind, line).
 func TestCohortsNilAndOrdering(t *testing.T) {
-	if Cohorts(nil, 0, 100, nil, nil) != nil {
+	if Cohorts(nil, 0, 100, nil) != nil {
 		t.Fatal("nil collector must yield a nil summary")
 	}
 	c := cohortFixture(t)
-	s := Cohorts(c, 0, 100, nil, nil)
+	s := Cohorts(c, 0, 100, nil)
 	if s.Cohorts[0].Master != 0 || s.Cohorts[len(s.Cohorts)-1].Master != 1 {
 		t.Fatalf("cohorts not sorted by master: %+v", s.Cohorts)
 	}

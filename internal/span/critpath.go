@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sort"
 
+	"hetcc/internal/bus"
 	"hetcc/internal/profile"
 )
 
@@ -92,18 +93,15 @@ const executeCause = "execute"
 // cycles; each is charged to the ledger cause, with the component being the
 // draining master when the blocking transaction's retry was causally linked
 // to a remote write-back, and the core itself otherwise.  ledger, when
-// non-nil, is cross-checked (CrossCheckError).  masterName/busName label
-// components and ops (nil falls back to numeric labels); topK bounds
+// non-nil, is cross-checked (CrossCheckError).  masterName labels
+// components (nil falls back to numeric labels); topK bounds
 // TopTransactions (<=0 means 10).
-func Compute(c *Collector, total uint64, cores []CoreInfo, ledger *profile.Summary, masterName func(int) string, busName func(uint8) string, topK int) *CriticalPath {
+func Compute(c *Collector, total uint64, cores []CoreInfo, ledger *profile.Summary, masterName func(int) string, topK int) *CriticalPath {
 	if len(cores) == 0 {
 		return nil
 	}
 	if masterName == nil {
 		masterName = func(id int) string { return fmt.Sprintf("master %d", id) }
-	}
-	if busName == nil {
-		busName = func(k uint8) string { return fmt.Sprintf("Kind(%d)", k) }
 	}
 	if topK <= 0 {
 		topK = 10
@@ -188,7 +186,7 @@ func Compute(c *Collector, total uint64, cores []CoreInfo, ledger *profile.Summa
 		cp.TopTransactions = append(cp.TopTransactions, CritTxn{
 			Txn:       id,
 			Component: masterName(t.Master),
-			Op:        busName(t.Kind),
+			Op:        bus.Kind(t.Kind).String(),
 			Addr:      fmt.Sprintf("0x%08x", t.Addr),
 			Submit:    t.Submit,
 			Complete:  t.Complete,

@@ -451,22 +451,15 @@ func (c *Collector) Edges() []Edge {
 
 // WriteJSONL exports the collected spans as one JSON object per line: a
 // "txn" row per transaction (lifecycle cycles plus retry epochs with causal
-// drain links) followed by a "stall" row per linked stall span.  busName
-// names transaction kinds (nil prints numeric values).
-func (c *Collector) WriteJSONL(w io.Writer, busName func(uint8) string) error {
+// drain links) followed by a "stall" row per linked stall span.
+func (c *Collector) WriteJSONL(w io.Writer) error {
 	if c == nil {
 		return nil
-	}
-	name := func(k uint8) string {
-		if busName != nil {
-			return busName(k)
-		}
-		return fmt.Sprintf("Kind(%d)", k)
 	}
 	for i := range c.txns {
 		t := &c.txns[i]
 		if _, err := fmt.Fprintf(w, `{"row":"txn","txn":%d,"master":%d,"op":%q,"addr":"0x%08x","submit":%d,"grant":%d,"complete":%d,"done":%v`,
-			t.ID, t.Master, name(t.Kind), t.Addr, t.Submit, t.Grant, t.Complete, t.Done); err != nil {
+			t.ID, t.Master, bus.Kind(t.Kind).String(), t.Addr, t.Submit, t.Grant, t.Complete, t.Done); err != nil {
 			return fmt.Errorf("span: jsonl write: %w", err)
 		}
 		if len(t.Retries) > 0 {

@@ -34,10 +34,10 @@ func TestNilCollectorIsSafe(t *testing.T) {
 	if c.Txns() != nil || c.Links() != nil || c.Edges() != nil || c.Dropped() != 0 {
 		t.Fatal("nil collector misbehaves")
 	}
-	if err := c.WriteJSONL(&strings.Builder{}, nil); err != nil {
+	if err := c.WriteJSONL(&strings.Builder{}); err != nil {
 		t.Fatal(err)
 	}
-	if cp := Compute(c, 100, []CoreInfo{{Name: "core0", ClockDiv: 1}}, nil, nil, nil, 5); cp == nil {
+	if cp := Compute(c, 100, []CoreInfo{{Name: "core0", ClockDiv: 1}}, nil, nil, 5); cp == nil {
 		t.Fatal("Compute must work on a nil collector")
 	} else if cp.CyclesAttributed() != 100 || cp.CrossCheckError != "" {
 		t.Fatalf("nil-collector critical path broken: %+v", cp)
@@ -184,7 +184,7 @@ func TestCriticalPathConservation(t *testing.T) {
 	}}
 	cp := Compute(c, 100, cores, ledger, func(id int) string {
 		return []string{"ppc", "arm"}[id]
-	}, nil, 5)
+	}, 5)
 	if cp.Core != 0 || cp.CoreName != "ppc" {
 		t.Fatalf("anchor %d/%s, want 0/ppc (last halting)", cp.Core, cp.CoreName)
 	}
@@ -239,7 +239,7 @@ func TestTopTransactionsOrder(t *testing.T) {
 		{3, []uint64{3, 2, 4}},
 		{10, []uint64{3, 2, 4, 1, 5}},
 	} {
-		cp := Compute(c, 1000, cores, nil, nil, nil, tc.topK)
+		cp := Compute(c, 1000, cores, nil, nil, tc.topK)
 		var got []uint64
 		for _, tt := range cp.TopTransactions {
 			got = append(got, tt.Txn)
@@ -261,7 +261,7 @@ func TestCrossCheckCatchesOverAttribution(t *testing.T) {
 	ledger := &profile.Summary{Cores: []profile.CoreSummary{
 		{Core: 0, Causes: map[string]uint64{"refill": 10}},
 	}}
-	cp := Compute(c, 100, []CoreInfo{{Name: "c0", ClockDiv: 1}}, ledger, nil, nil, 5)
+	cp := Compute(c, 100, []CoreInfo{{Name: "c0", ClockDiv: 1}}, ledger, nil, 5)
 	if cp.CrossCheckError == "" {
 		t.Fatal("cross-check passed despite attribution exceeding the ledger bound")
 	}
@@ -305,7 +305,7 @@ func TestJSONLExport(t *testing.T) {
 	c.Finish([]profile.Span{{Core: 0, Cause: profile.CauseDrain, Start: 14, End: 30}}, 40)
 
 	var sb strings.Builder
-	if err := c.WriteJSONL(&sb, func(k uint8) string { return bus.Kind(k).String() }); err != nil {
+	if err := c.WriteJSONL(&sb); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
