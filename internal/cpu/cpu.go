@@ -121,12 +121,11 @@ type CPU struct {
 	snoop *snooplogic.SnoopLogic // the core's own snoop logic (nil unless PF1/PF2)
 	hooks Hooks
 
-	prog    isa.Program
-	pc      int
-	state   runState
-	halted  bool
-	delay   int
-	lastNow uint64
+	prog   isa.Program
+	pc     int
+	state  runState
+	halted bool
+	delay  int
 
 	lockStep       lock.Stepper
 	lockPending    lock.MemOp
@@ -164,7 +163,8 @@ type CPU struct {
 	// handle is the core's event-scheduler registration (nil under the tick
 	// scheduler; see BindScheduler).  lastTicked is the engine cycle of the
 	// last local clock edge the core has accounted for — catchUp bulk-applies
-	// the skipped edges between lastTicked and the next real tick.
+	// the skipped edges between lastTicked and the next real tick — and the
+	// cycle the core's memory accesses are stamped with.
 	handle     *sim.Handle
 	lastTicked uint64
 
@@ -292,7 +292,6 @@ func (c *CPU) Tick(now uint64) {
 		c.catchUp(now - 1) // bulk-apply any skipped edges; this tick handles edge now
 	}
 	c.lastTicked = now
-	c.lastNow = now
 	// Stamp newly raised FIQs with their response horizon.
 	for i := c.fiqHead; i < len(c.fiqs); i++ {
 		if !c.fiqs[i].stamped {
@@ -410,7 +409,6 @@ func (c *CPU) applySkipped(through uint64) {
 		panic("cpu: event catch-up crossed an execute edge")
 	}
 	c.lastTicked = e
-	c.lastNow = e
 }
 
 // CatchUp implements sim.CatchUpper.
@@ -645,7 +643,7 @@ func (c *CPU) memAccess(now uint64, write bool, addr, val uint32) {
 		status, v := c.ctl.Access(write, addr, val, c.accDoneFn)
 		switch status {
 		case cache.Done:
-			c.noteAccess(write, addr, val, v, c.lastNow)
+			c.noteAccess(write, addr, val, v, c.lastTicked)
 			c.delay = c.cfg.AccessOverhead
 			c.retire()
 		case cache.Pending:
@@ -675,7 +673,7 @@ func (c *CPU) memAccess(now uint64, write bool, addr, val uint32) {
 // answers.
 func (c *CPU) accessDone(rv uint32) {
 	c.syncUnstall()
-	c.noteAccess(c.accWrite, c.accAddr, c.accVal, rv, c.lastNow)
+	c.noteAccess(c.accWrite, c.accAddr, c.accVal, rv, c.lastTicked)
 	c.state = stateRun
 	c.delay = c.cfg.AccessOverhead
 	c.retire()

@@ -78,11 +78,6 @@ type Platform struct {
 // links, edges and JSONL export are available.
 func (p *Platform) Spans() *span.Collector { return p.spans }
 
-// Sharing returns the sharing-pattern collector (nil unless Config.Sharing).
-// Valid after Run: the collector is finished and its summary is on
-// Result.Sharing.
-func (p *Platform) Sharing() *sharing.Collector { return p.sharing }
-
 // MasterName labels bus master id for exports: the processor model for CPU
 // cores, "dma" for the DMA engine.
 func (p *Platform) MasterName(id int) string {
