@@ -7,8 +7,10 @@
 // The package is a facade over the internal subsystems:
 //
 //   - internal/coherence — MEI/MSI/MESI/MOESI state machines;
-//   - internal/core      — the paper's protocol-reduction rules, wrapper
-//     policies, and an exhaustive single-line model checker;
+//   - internal/core      — the paper's protocol-reduction rules and wrapper
+//     policies;
+//   - internal/explore   — an exhaustive single-line model checker that
+//     proves the reduction table;
 //   - internal/bus, internal/cache, internal/cpu, internal/memory — the
 //     simulated SoC substrate (AMBA ASB-like snooping bus, set-associative
 //     caches with snooping controllers, program-driven cores);
