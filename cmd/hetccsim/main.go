@@ -191,7 +191,7 @@ func main() {
 		fatalIf(p.LoadPrograms(progs))
 	}
 	res := p.Run(*maxCycles)
-	if dropped := p.Log.Dropped(); dropped > 0 {
+	if dropped := res.TraceDropped; dropped > 0 {
 		fmt.Fprintf(os.Stderr, "hetccsim: warning: %d trace events dropped by the ring bound; "+
 			"trace-derived output covers only the retained tail (raise -trace to keep more)\n", dropped)
 	}

@@ -208,10 +208,10 @@ func TestFromReport(t *testing.T) {
 		Scenario: "wcs",
 		Cycles:   123,
 		Cores:    []platform.CoreReport{{Name: "PPC603e"}, {Name: "ARM920T"}},
-		Profile: &profile.Summary{Cores: []profile.CoreSummary{
+		Sections: platform.Sections{Profile: &profile.Summary{Cores: []profile.CoreSummary{
 			{Core: 0, StallCycles: 5, Causes: map[string]uint64{"refill": 5}},
 			{Core: 1, StallCycles: 3, Causes: map[string]uint64{"drain": 3}},
-		}},
+		}}},
 	}
 	r := FromReport("", rep)
 	if r.Name != "wcs" || r.Cycles != 123 || len(r.Stalls) != 2 {

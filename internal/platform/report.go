@@ -20,16 +20,12 @@ import (
 // should check it (and ReportSchemaVersion) before interpreting the rest.
 const ReportSchema = "hetcc.run-report"
 
-// ReportSchemaVersion is bumped on any incompatible change to Report.
-// v2 added the "audit" section (invariant auditor summary); v3 added the
-// "profile" section (per-core stall-cause ledger) and "trace_dropped"; v4
-// added the "critical_path" section (causal span analysis, package span); v5
-// added the "manifest" provenance block and the "cohorts" section (the
-// per-(master, op, line) transaction-cohort partition that differential run
-// analysis, package delta, aligns across runs); v6 added the "sharing"
-// section (per-line sharing-pattern classification, the master communication
-// matrix and the windowed address heatmap, package sharing).  Every v1–v5
-// field is unchanged, so older consumers keep working.
+// ReportSchemaVersion is bumped on an incompatible change to Report: a
+// field removed, renamed or retyped, or a value whose meaning changes.
+// Adding an omitempty top-level section is compatible and keeps the
+// version: a reader treats a missing section as nil, and encoding/json
+// ignores keys it does not know, so old and new readers both accept the
+// report.
 const ReportSchemaVersion = 6
 
 // Report is the machine-readable summary of one simulation run, written by
@@ -63,47 +59,49 @@ type Report struct {
 	Bus   bus.Stats    `json:"bus"`
 	Cores []CoreReport `json:"cores"`
 
-	// Metrics is the registry snapshot: counters, gauges, histogram
-	// summaries (p50/p95/p99) and the sampled time series.  Nil when the
-	// run had metrics disabled.
-	Metrics *metrics.Snapshot `json:"metrics,omitempty"`
+	Sections
 
-	// Audit is the invariant auditor's summary (schema v2).  Nil when the
-	// run had auditing disabled.
-	Audit *audit.Summary `json:"audit,omitempty"`
-
-	// Profile is the per-core stall-cause ledger summary (schema v3).  Nil
-	// when the run had profiling disabled.  Per core, the causes sum to the
-	// core's stall_cycles exactly (the conservation invariant).
-	Profile *profile.Summary `json:"profile,omitempty"`
-	// TraceDropped counts events evicted from the bounded trace ring
-	// (schema v3).  Non-zero means trace-derived views (Chrome-trace log
-	// lane, -trace output) reflect only the retained tail of the run.
-	TraceDropped uint64 `json:"trace_dropped,omitempty"`
-
-	// CriticalPath is the causal-span critical-path analysis (schema v4):
-	// the last-retiring core's timeline attributed to (component, cause)
-	// pairs, summing to Cycles exactly and cross-checked against the
-	// profile ledger.  Nil when the run had spans disabled.
-	CriticalPath *span.CriticalPath `json:"critical_path,omitempty"`
-
-	// Cohorts is the transaction-cohort partition of the critical core's
-	// timeline (schema v5): execute + unlinked + per-(master, op, line)
-	// blocked cycles sum to Cycles exactly, so two reports subtract into an
-	// exact per-cohort delta.  Nil when the run had spans disabled.
-	Cohorts *span.CohortSummary `json:"cohorts,omitempty"`
-
-	// Sharing is the sharing-pattern summary (schema v6): per-line lifetime
-	// classifications with false-sharing candidates, the master
-	// communication matrix and the windowed address heatmap.  Nil when the
-	// run had the sharing collector disabled.
-	Sharing *sharing.Summary `json:"sharing,omitempty"`
-
-	// Manifest records the run's provenance (schema v5): toolchain, module
-	// build, CLI flags and seed.  Nil when the producer stamped none (the
-	// batch runner stamps only deterministic fields so its digests stay
+	// Manifest records the run's provenance: toolchain, module build, CLI
+	// flags and seed.  Nil when the producer stamped none (the batch runner
+	// stamps only deterministic fields so its digests stay
 	// machine-independent).
 	Manifest *Manifest `json:"manifest,omitempty"`
+}
+
+// Sections holds the report sections the observers own, one field per
+// section.  Result and Report both embed it, so a new observer adds its
+// section here once.  Each section is nil (or zero) when its observer was
+// off, and omitempty, so adding one keeps ReportSchemaVersion.
+type Sections struct {
+	// Metrics is the registry snapshot: counters, gauges, histogram
+	// summaries (p50/p95/p99) and the sampled time series (Config.Metrics).
+	Metrics *metrics.Snapshot `json:"metrics,omitempty"`
+	// Audit is the invariant auditor's summary: events by kind, violations,
+	// observed reachable states per core and per-line transition counts
+	// (Config.Audit).
+	Audit *audit.Summary `json:"audit,omitempty"`
+	// Profile is the per-core stall-cause ledger summary (Config.Profile).
+	// Per core, the causes sum to the core's stall_cycles exactly.
+	Profile *profile.Summary `json:"profile,omitempty"`
+	// TraceDropped counts events evicted from the bounded trace ring
+	// (Config.TraceCap).  Non-zero means trace-derived views (Chrome-trace
+	// log lane, -trace output) reflect only the retained tail of the run.
+	TraceDropped uint64 `json:"trace_dropped,omitempty"`
+	// CriticalPath is the causal-span critical-path analysis (Config.Spans):
+	// the last-retiring core's timeline charged to (component, cause)
+	// pairs, summing to Cycles exactly and cross-checked against the
+	// profile ledger.  The transaction records and causal edges behind it
+	// are on Platform.Spans().
+	CriticalPath *span.CriticalPath `json:"critical_path,omitempty"`
+	// Cohorts is the transaction-cohort partition of the critical core's
+	// timeline (Config.Spans): execute + unlinked + per-(master, op, line)
+	// blocked cycles sum to Cycles exactly, so two reports subtract into an
+	// exact per-cohort delta (package delta).
+	Cohorts *span.CohortSummary `json:"cohorts,omitempty"`
+	// Sharing is the sharing-pattern summary (Config.Sharing): per-line
+	// lifetime classifications with false-sharing candidates, the master
+	// communication matrix and the windowed address heatmap.
+	Sharing *sharing.Summary `json:"sharing,omitempty"`
 }
 
 // CoreReport is the per-processor slice of a Report.
@@ -130,13 +128,7 @@ func (p *Platform) Report(res Result, scenario string) Report {
 		Deadlocked:        res.Deadlocked(),
 		Coherent:          res.Coherent(),
 		Bus:               res.Bus,
-		Metrics:           res.Metrics,
-		Audit:             res.Audit,
-		Profile:           res.Profile,
-		TraceDropped:      p.Log.Dropped(),
-		CriticalPath:      res.CriticalPath,
-		Cohorts:           res.Cohorts,
-		Sharing:           res.Sharing,
+		Sections:          res.Sections,
 		Manifest:          p.Manifest,
 	}
 	if res.Err != nil {
@@ -180,9 +172,9 @@ func WriteReport(w io.Writer, rep Report) error {
 }
 
 // ReadReport decodes a run report written by WriteReport, accepting any
-// schema version up to the current one (older reports simply lack the later
-// sections), so a freshly built binary can explain a delta against a
-// baseline recorded before the latest bump.
+// schema version up to the current one.  Older reports simply lack the later
+// sections, and sections this build does not know are skipped, so a freshly
+// built binary can explain a delta against a baseline recorded by another.
 func ReadReport(r io.Reader) (Report, error) {
 	var rep Report
 	if err := json.NewDecoder(r).Decode(&rep); err != nil {

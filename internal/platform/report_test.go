@@ -135,10 +135,10 @@ func TestReportRoundTrip(t *testing.T) {
 	}
 }
 
-// TestReportFieldsStable guards the consumers of every schema version.  The
-// row for version N checks that every key of versions 1..N is still present
-// under its old name, and that the bump to N+1 only added the separate keys
-// in next, whose content it checks.
+// TestReportFieldsStable guards the report's consumers.  Each row names one
+// top-level section, checks that its keys are still present under their old
+// names and checks its content.  Every key the report carries must belong to
+// a row, so a new section comes with a row of its own.
 func TestReportFieldsStable(t *testing.T) {
 	_, res, rep := runWCSReport(t)
 	var buf bytes.Buffer
@@ -150,27 +150,65 @@ func TestReportFieldsStable(t *testing.T) {
 		t.Fatal(err)
 	}
 	rows := []struct {
-		keys, next []string
-		check      func(t *testing.T)
+		section string
+		keys    []string
+		check   func(t *testing.T)
 	}{
 		{
+			// The keys no observer owns, with the schema identification.
+			section: "run",
 			keys: []string{
 				"schema", "schema_version", "scenario", "solution", "platform",
 				"effective_protocol", "cycles", "bus_cycles", "stop_reason",
-				"deadlocked", "coherent", "bus", "cores", "metrics",
+				"deadlocked", "coherent", "bus", "cores",
 			},
 			check: func(t *testing.T) {
 				var schema string
 				if err := json.Unmarshal(raw["schema"], &schema); err != nil || schema != ReportSchema {
 					t.Errorf("schema = %q (%v), want %q", schema, err, ReportSchema)
 				}
+				var version int
+				if err := json.Unmarshal(raw["schema_version"], &version); err != nil || version != ReportSchemaVersion {
+					t.Errorf("schema_version = %d (%v), want %d", version, err, ReportSchemaVersion)
+				}
 			},
 		},
 		{
-			// v3's profile section upholds the conservation invariant
+			// The scheduler telemetry rides the metrics section: an
+			// event-scheduled metrics run carries sched.*.
+			section: "metrics",
+			keys:    []string{"metrics"},
+			check: func(t *testing.T) {
+				if rep.Metrics == nil {
+					t.Fatal("metrics missing from a metrics-enabled report")
+				}
+				if _, ok := rep.Metrics.Counters["sched.wakes"]; !ok {
+					t.Errorf("sched.wakes counter missing from metrics: %v", rep.Metrics.Counters)
+				}
+				if _, ok := rep.Metrics.Histograms["sched.skip.cycles"]; !ok {
+					t.Error("sched.skip.cycles histogram missing from metrics")
+				}
+			},
+		},
+		{
+			// The auditor counts the records it consumes by kind; the bus
+			// section counts the same completions and retries.
+			// TestReportAuditContent checks the rest of the section.
+			section: "audit",
+			keys:    []string{"audit"},
+			check: func(t *testing.T) {
+				ev := rep.Audit.Events
+				if ev["bus-complete"] != rep.Bus.Completed || ev["retry"] != rep.Bus.Aborted {
+					t.Errorf("events_by_kind %v disagrees with the bus: %d completed, %d aborted",
+						ev, rep.Bus.Completed, rep.Bus.Aborted)
+				}
+			},
+		},
+		{
+			// The profile section upholds the conservation invariant
 			// against the cores section of the same report.
-			keys: []string{"audit"},
-			next: []string{"profile"},
+			section: "profile",
+			keys:    []string{"profile"},
 			check: func(t *testing.T) {
 				if rep.Profile == nil || len(rep.Profile.Cores) != len(rep.Cores) {
 					t.Fatalf("profile %+v does not cover the report's %d cores", rep.Profile, len(rep.Cores))
@@ -191,15 +229,11 @@ func TestReportFieldsStable(t *testing.T) {
 			},
 		},
 		{
-			// v4's critical path partitions the run's cycles exactly and
+			// The critical path partitions the run's cycles exactly and
 			// passes the profile-ledger cross-check.
-			keys: []string{"profile"},
-			next: []string{"critical_path"},
+			section: "critical_path",
+			keys:    []string{"critical_path"},
 			check: func(t *testing.T) {
-				var version int
-				if err := json.Unmarshal(raw["schema_version"], &version); err != nil || version != ReportSchemaVersion {
-					t.Errorf("schema_version = %d (%v), want %d", version, err, ReportSchemaVersion)
-				}
 				cp := rep.CriticalPath
 				if cp == nil {
 					t.Fatal("critical_path missing from a spans-enabled report")
@@ -217,11 +251,10 @@ func TestReportFieldsStable(t *testing.T) {
 			},
 		},
 		{
-			// v5's cohort partition is conserved against the run's cycle
-			// count, and its manifest carries exactly what runWCSReport
-			// pinned, through a ReadReport round trip.
-			keys: []string{"critical_path"},
-			next: []string{"cohorts", "manifest"},
+			// The cohort partition is conserved against the run's cycle
+			// count.
+			section: "cohorts",
+			keys:    []string{"cohorts"},
 			check: func(t *testing.T) {
 				co := rep.Cohorts
 				if co == nil {
@@ -239,28 +272,13 @@ func TestReportFieldsStable(t *testing.T) {
 				if len(co.Cohorts) == 0 {
 					t.Error("no cohorts on a contended WCS run")
 				}
-				m := rep.Manifest
-				if m == nil || m.SchemaVersion != ReportSchemaVersion || m.GoVersion != "go0.0-golden" {
-					t.Fatalf("manifest not stamped as pinned: %+v", m)
-				}
-				back, err := ReadReport(bytes.NewReader(buf.Bytes()))
-				if err != nil {
-					t.Fatalf("ReadReport rejected its own output: %v", err)
-				}
-				if back.Cycles != res.Cycles || !back.Cohorts.Conserved() {
-					t.Fatalf("round-tripped report drifted: %d cycles, conserved=%v", back.Cycles, back.Cohorts.Conserved())
-				}
-				if diff := m.Diff(back.Manifest); len(diff) != 0 {
-					t.Fatalf("manifest drifted through the round trip: %v", diff)
-				}
 			},
 		},
 		{
-			// v6's sharing section is conserved against its own
-			// event-stream totals with every touched line in exactly one
-			// class.
-			keys: []string{"cohorts", "manifest"},
-			next: []string{"sharing"},
+			// The sharing section is conserved against its own event-stream
+			// totals with every touched line in exactly one class.
+			section: "sharing",
+			keys:    []string{"sharing"},
 			check: func(t *testing.T) {
 				s := rep.Sharing
 				if s == nil {
@@ -279,36 +297,47 @@ func TestReportFieldsStable(t *testing.T) {
 				if res.Sharing == nil || res.Sharing.Totals != s.Totals {
 					t.Fatal("Result.Sharing and report sharing disagree")
 				}
-				// The scheduler telemetry (added with v6) rides the metrics
-				// section: an event-scheduled metrics run carries sched.*.
-				if rep.Metrics != nil {
-					if _, ok := rep.Metrics.Counters["sched.wakes"]; !ok {
-						t.Errorf("sched.wakes counter missing from metrics: %v", rep.Metrics.Counters)
-					}
-					if _, ok := rep.Metrics.Histograms["sched.skip.cycles"]; !ok {
-						t.Error("sched.skip.cycles histogram missing from metrics")
-					}
+			},
+		},
+		{
+			// The manifest carries exactly what runWCSReport pinned, through
+			// a ReadReport round trip that keeps the other sections too.
+			section: "manifest",
+			keys:    []string{"manifest"},
+			check: func(t *testing.T) {
+				m := rep.Manifest
+				if m == nil || m.SchemaVersion != ReportSchemaVersion || m.GoVersion != "go0.0-golden" {
+					t.Fatalf("manifest not stamped as pinned: %+v", m)
+				}
+				back, err := ReadReport(bytes.NewReader(buf.Bytes()))
+				if err != nil {
+					t.Fatalf("ReadReport rejected its own output: %v", err)
+				}
+				if back.Cycles != res.Cycles || !back.Cohorts.Conserved() {
+					t.Fatalf("round-tripped report drifted: %d cycles, conserved=%v", back.Cycles, back.Cohorts.Conserved())
+				}
+				if diff := m.Diff(back.Manifest); len(diff) != 0 {
+					t.Fatalf("manifest drifted through the round trip: %v", diff)
 				}
 			},
 		},
 	}
-	var keys []string
-	for i, row := range rows {
-		version := i + 1
-		keys = append(keys, row.keys...)
-		t.Run(fmt.Sprintf("v%d", version), func(t *testing.T) {
-			for _, f := range keys {
+	owned := map[string]bool{}
+	for _, row := range rows {
+		t.Run(row.section, func(t *testing.T) {
+			for _, f := range row.keys {
+				owned[f] = true
 				if _, ok := raw[f]; !ok {
-					t.Errorf("v%d field %q missing from v%d report", version, f, ReportSchemaVersion)
-				}
-			}
-			for _, f := range row.next {
-				if _, ok := raw[f]; !ok {
-					t.Errorf("v%d field %q missing", version+1, f)
+					t.Errorf("field %q missing from the report", f)
 				}
 			}
 			row.check(t)
 		})
+	}
+	for f := range raw {
+		if !owned[f] {
+			t.Errorf("report key %q belongs to no row", f)
+		}
 	}
 }
 
@@ -335,6 +364,21 @@ func TestReadReportRejects(t *testing.T) {
 		if _, err := ReadReport(bytes.NewReader([]byte(enc(ReportSchema, v)))); err != nil {
 			t.Errorf("historical schema version %d rejected: %v", v, err)
 		}
+	}
+}
+
+// TestReadReportAcceptsUnknownSection: a section added after this reader was
+// built is skipped, not an error, so adding a section keeps the schema
+// version.
+func TestReadReportAcceptsUnknownSection(t *testing.T) {
+	in := fmt.Sprintf(`{"schema":%q,"schema_version":%d,"cycles":7,"future_section":{"counts":[1,2]},"sharing":null}`,
+		ReportSchema, ReportSchemaVersion)
+	rep, err := ReadReport(bytes.NewReader([]byte(in)))
+	if err != nil {
+		t.Fatalf("report with an unknown section rejected: %v", err)
+	}
+	if rep.Cycles != 7 || rep.Sharing != nil {
+		t.Fatalf("known fields misread: cycles %d, sharing %v", rep.Cycles, rep.Sharing)
 	}
 }
 

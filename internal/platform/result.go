@@ -10,9 +10,7 @@ import (
 	"hetcc/internal/cache"
 	"hetcc/internal/cpu"
 	"hetcc/internal/memory"
-	"hetcc/internal/metrics"
 	"hetcc/internal/profile"
-	"hetcc/internal/sharing"
 	"hetcc/internal/sim"
 	"hetcc/internal/snooplogic"
 	"hetcc/internal/span"
@@ -118,35 +116,14 @@ type Result struct {
 	// (reported only when RaceCheck was enabled).
 	Races []Race
 
-	// Metrics is the final registry snapshot (nil unless Config.Metrics).
-	Metrics *metrics.Snapshot
-	// Audit is the invariant auditor's summary: violations, events by kind,
-	// observed reachable states per core, per-line transition counts (nil
-	// unless Config.Audit).
-	Audit *audit.Summary
-	// Profile is the stall-cause ledger summary (nil unless Config.Profile).
-	// Per core, the sum of its causes equals CPU[i].StallCycles exactly.
-	Profile *profile.Summary
+	// Sections holds the observers' report sections, each nil (or zero)
+	// unless its observer was on.
+	Sections
 	// StallSpans lists the contiguous same-cause stall runs per core
 	// (bounded, see profile.DefaultMaxSpans; captured only with
 	// Config.Profile).  The Chrome-trace exporter renders them as per-core
 	// lanes.
 	StallSpans []profile.Span
-	// CriticalPath is the causal-span critical-path attribution (nil unless
-	// Config.Spans): the last-retiring core's timeline charged to
-	// (component, cause) pairs, summing to Cycles exactly.  The transaction
-	// records and causal edges behind it are on Platform.Spans().
-	CriticalPath *span.CriticalPath
-	// Cohorts is the transaction-cohort partition of the critical core's
-	// timeline (nil unless Config.Spans): execute + unlinked + per-(master,
-	// op, line) critical cycles sum to Cycles exactly, the alignment unit of
-	// differential run analysis (package delta).
-	Cohorts *span.CohortSummary
-	// Sharing is the sharing-pattern summary (nil unless Config.Sharing):
-	// per-line classifications, the master communication matrix and the
-	// windowed address heatmap.  Enabling it never changes the simulated
-	// timeline — the collector only observes the event stream.
-	Sharing *sharing.Summary
 }
 
 // Deadlocked reports whether the run ended in the paper's hardware
@@ -166,6 +143,7 @@ func (p *Platform) Run(maxCycles uint64) Result {
 		StopReason: p.Engine.StopReason(),
 		Bus:        p.Bus.Stats(),
 	}
+	res.TraceDropped = p.Log.Dropped()
 	for i, c := range p.CPUs {
 		res.CPU = append(res.CPU, c.Stats())
 		res.Cache = append(res.Cache, p.Controllers[i].Cache().Stats())
@@ -216,7 +194,6 @@ func (p *Platform) Run(maxCycles uint64) Result {
 	}
 	if p.auditor != nil {
 		s := p.auditor.Summary()
-		s.Events = p.events.Counts()
 		res.Audit = &s
 	}
 	if p.profiler != nil {
