@@ -66,8 +66,9 @@ var chromeTraceRuns = []struct {
 }
 
 // TestChromeTraceGolden pins the -chrometrace file and the -spans JSONL
-// (the txn and stall rows) byte for byte, as a SHA-256 per run and scheduler
-// in testdata/chrometrace_digests.json and testdata/spans_digests.json.
+// (the txn and stall rows) byte for byte, as a SHA-256 per run in
+// testdata/chrometrace_digests.json and testdata/spans_digests.json that
+// both schedulers must give.
 // Regenerate after an intended change with
 //
 //	go test ./cmd/hetccsim -run TestChromeTraceGolden -update
@@ -107,39 +108,44 @@ func TestChromeTraceGolden(t *testing.T) {
 	}
 }
 
-// checkDigests compares got with the golden digest file, or rewrites the
-// file under -update.
+// checkDigests requires the digests of every scheduler in got (scheduler →
+// run label → hex SHA-256) to equal the golden file, which maps run label →
+// digest.  Under -update they must equal the tick scheduler's instead, which
+// then rewrite the file.
 func checkDigests(t *testing.T, golden string, got map[string]map[string]string) {
 	t.Helper()
-	if *updateGolden {
-		raw, err := json.MarshalIndent(got, "", "  ")
+	wantName, want := "tick", got[platform.SchedulerTick]
+	if !*updateGolden {
+		raw, err := os.ReadFile(golden)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%v (run with -update to create it)", err)
 		}
-		if err := os.WriteFile(golden, append(raw, '\n'), 0o644); err != nil {
-			t.Fatal(err)
+		wantName, want = "golden", nil
+		if err := json.Unmarshal(raw, &want); err != nil {
+			t.Fatalf("parse %s: %v", golden, err)
 		}
-		t.Logf("wrote %s", golden)
-		return
-	}
-	raw, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v (run with -update to create it)", err)
-	}
-	var want map[string]map[string]string
-	if err := json.Unmarshal(raw, &want); err != nil {
-		t.Fatalf("parse %s: %v", golden, err)
 	}
 	for scheduler, runs := range got {
-		if len(runs) != len(want[scheduler]) {
-			t.Errorf("%s %s: %d runs, golden pins %d", golden, scheduler, len(runs), len(want[scheduler]))
+		if len(runs) != len(want) {
+			t.Errorf("%s %s: %d runs, %s pins %d", golden, scheduler, len(runs), wantName, len(want))
 		}
 		for label, d := range runs {
-			if w := want[scheduler][label]; d != w {
-				t.Errorf("%s %s %s: digest %s, golden %s", golden, scheduler, label, d, w)
+			if w := want[label]; d != w {
+				t.Errorf("%s %s %s: digest %s, %s %s", golden, scheduler, label, d, wantName, w)
 			}
 		}
 	}
+	if !*updateGolden || t.Failed() {
+		return
+	}
+	raw, err := json.MarshalIndent(want, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(golden, append(raw, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("wrote %s", golden)
 }
 
 // TestExitCodes: bad input and an unwritable output exit 2, a run that ends

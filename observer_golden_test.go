@@ -15,47 +15,49 @@ import (
 	"hetcc/internal/platform"
 )
 
-// goldenDigests maps scheduler → run label → hex SHA-256.
-type goldenDigests map[string]map[string]string
-
 func sha256Hex(b []byte) string {
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:])
 }
 
-// checkGoldenDigests compares got against the golden file at path (or
-// rewrites it under -update).
-func checkGoldenDigests(t *testing.T, path string, got goldenDigests) {
+// checkGoldenDigests requires the digests of every scheduler in got
+// (scheduler → run label → hex SHA-256) to equal the golden file at path,
+// which maps run label → digest.  Under -update they must equal the tick
+// scheduler's instead, which then rewrite the file.
+func checkGoldenDigests(t *testing.T, path string, got map[string]map[string]string) {
 	t.Helper()
-	if *updateGoldens {
-		raw, err := json.MarshalIndent(got, "", "  ")
+	wantName, want := "tick", got[platform.SchedulerTick]
+	if !*updateGoldens {
+		raw, err := os.ReadFile(path)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%v (run with -update to create it)", err)
 		}
-		if err := os.WriteFile(path, append(raw, '\n'), 0o644); err != nil {
-			t.Fatal(err)
+		wantName, want = "golden", nil
+		if err := json.Unmarshal(raw, &want); err != nil {
+			t.Fatalf("parse %s: %v", path, err)
 		}
-		t.Logf("wrote %s", path)
-		return
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("%v (run with -update to create it)", err)
-	}
-	var want goldenDigests
-	if err := json.Unmarshal(raw, &want); err != nil {
-		t.Fatalf("parse %s: %v", path, err)
 	}
 	for _, scheduler := range schedulerModes {
-		if len(got[scheduler]) != len(want[scheduler]) {
-			t.Errorf("%s: %d runs, golden pins %d", scheduler, len(got[scheduler]), len(want[scheduler]))
+		if len(got[scheduler]) != len(want) {
+			t.Errorf("%s: %d runs, %s pins %d", scheduler, len(got[scheduler]), wantName, len(want))
 		}
 		for label, d := range got[scheduler] {
-			if w := want[scheduler][label]; d != w {
-				t.Errorf("%s %s: digest %s, golden %s", scheduler, label, d, w)
+			if w := want[label]; d != w {
+				t.Errorf("%s %s: digest %s, %s %s", scheduler, label, d, wantName, w)
 			}
 		}
 	}
+	if !*updateGoldens || t.Failed() {
+		return
+	}
+	raw, err := json.MarshalIndent(want, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, append(raw, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("wrote %s", path)
 }
 
 // traceRuns are the text-trace golden's runs: WCS under the proposed
@@ -88,10 +90,10 @@ func traceRuns(scheduler string) []hetcc.BatchSpec {
 }
 
 // TestTraceGolden pins the bus and snoop-logic text trace (Platform.Log's
-// WriteTo output) byte for byte, as a SHA-256 per run and scheduler in
-// testdata/trace_digests.json.
+// WriteTo output) byte for byte, as a SHA-256 per run in
+// testdata/trace_digests.json that both schedulers must give.
 func TestTraceGolden(t *testing.T) {
-	got := goldenDigests{}
+	got := map[string]map[string]string{}
 	for _, scheduler := range schedulerModes {
 		got[scheduler] = map[string]string{}
 		for _, spec := range traceRuns(scheduler) {
