@@ -138,7 +138,7 @@ func TestFromTxnsReportsDropped(t *testing.T) {
 
 func TestFromLog(t *testing.T) {
 	var now uint64
-	l := trace.NewLog(0, func() uint64 { return now })
+	l := trace.NewLog(0, func() uint64 { return now }, nil)
 	for _, e := range []trace.Event{
 		{Cycle: 200, Unit: "bus", Msg: "grant m0"},
 		{Cycle: 250, Unit: "cache0", Msg: "fill 0x100"},
@@ -175,7 +175,7 @@ func TestFromLog(t *testing.T) {
 // count as an extra marker.
 func TestFromLogReportsDropped(t *testing.T) {
 	var now uint64
-	l := trace.NewLog(2, func() uint64 { return now })
+	l := trace.NewLog(2, func() uint64 { return now }, nil)
 	for i := 0; i < 5; i++ {
 		now = uint64(100 * i)
 		l.Addf("bus", "e%d", i)

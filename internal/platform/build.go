@@ -136,7 +136,7 @@ func Build(cfg Config) (*Platform, error) {
 
 	var subs []event.Handler // the event stream's subscribers
 	if cfg.TraceCap > 0 {
-		p.Log = trace.NewLog(cfg.TraceCap, engine.Now)
+		p.Log = trace.NewLog(cfg.TraceCap, engine.Now, traceFormat(p))
 	}
 	if cfg.Metrics {
 		p.Metrics = metrics.NewRegistry()

@@ -7,6 +7,7 @@ import (
 	"hetcc/internal/coherence"
 	"hetcc/internal/event"
 	"hetcc/internal/metrics"
+	"hetcc/internal/trace"
 )
 
 // fromSnoopLogic reports whether a TAG-CAM snoop logic emitted r.  A core
@@ -85,26 +86,38 @@ func metricsHandler(p *Platform) event.Handler {
 	}
 }
 
-// traceHandler returns the subscriber that formats bus and snoop-logic
-// records into the text trace (Platform.Log).
+// traceHandler returns the subscriber that keeps bus and snoop-logic
+// records in the text trace (Platform.Log); traceFormat renders them when
+// the trace is read.
 func traceHandler(p *Platform) event.Handler {
-	log, b := p.Log, p.Bus
+	log := p.Log
 	return func(r *event.Record) {
 		switch r.Kind {
+		case event.Retry, event.BusGrant, event.BusComplete:
+			log.Record(r)
+		case event.SnoopHit, event.Drain:
+			if fromSnoopLogic(p, r) {
+				log.Record(r)
+			}
+		}
+	}
+}
+
+// traceFormat renders a record traceHandler kept as its trace line.
+func traceFormat(p *Platform) trace.Formatter {
+	b := p.Bus
+	return func(r *event.Record) (string, string) {
+		switch r.Kind {
 		case event.Retry:
-			log.Addf("bus", "ARTRY %s %s 0x%08x (retry %d)", b.MasterName(r.Core), bus.Kind(r.BusKind), r.Addr, r.Retries)
+			return "bus", fmt.Sprintf("ARTRY %s %s 0x%08x (retry %d)", b.MasterName(r.Core), bus.Kind(r.BusKind), r.Addr, r.Retries)
 		case event.BusGrant:
-			log.Addf("bus", "grant %s %s 0x%08x shared=%v lat=%d", b.MasterName(r.Core), bus.Kind(r.BusKind), r.Addr, r.SharedOut, r.Latency)
+			return "bus", fmt.Sprintf("grant %s %s 0x%08x shared=%v lat=%d", b.MasterName(r.Core), bus.Kind(r.BusKind), r.Addr, r.SharedOut, r.Latency)
 		case event.BusComplete:
-			log.Addf("bus", "done  %s %s 0x%08x", b.MasterName(r.Core), bus.Kind(r.BusKind), r.Addr)
+			return "bus", fmt.Sprintf("done  %s %s 0x%08x", b.MasterName(r.Core), bus.Kind(r.BusKind), r.Addr)
 		case event.SnoopHit:
-			if fromSnoopLogic(p, r) {
-				log.Addf(p.Config.Processors[r.Core].Model+"-snoop", "snoop hit 0x%08x -> nFIQ", r.Addr)
-			}
-		case event.Drain:
-			if fromSnoopLogic(p, r) {
-				log.Addf(p.Config.Processors[r.Core].Model+"-snoop", "ISR complete 0x%08x (resident=%v)", r.Addr, r.Resident)
-			}
+			return p.Config.Processors[r.Core].Model + "-snoop", fmt.Sprintf("snoop hit 0x%08x -> nFIQ", r.Addr)
+		default: // event.Drain
+			return p.Config.Processors[r.Core].Model + "-snoop", fmt.Sprintf("ISR complete 0x%08x (resident=%v)", r.Addr, r.Resident)
 		}
 	}
 }

@@ -1,12 +1,14 @@
 // Package trace provides the bounded text trace of a simulation: the
-// platform's trace subscriber formats bus and snoop-logic event records
-// into it.  Tracing is optional: a nil *Log is valid everywhere and records
-// nothing.
+// platform's trace subscriber keeps bus and snoop-logic event records in
+// it, and the log formats them into lines when it is read.  Tracing is
+// optional: a nil *Log is valid everywhere and records nothing.
 package trace
 
 import (
 	"fmt"
 	"io"
+
+	"hetcc/internal/event"
 )
 
 // Event is one timestamped trace record.
@@ -21,26 +23,37 @@ func (e Event) String() string {
 	return fmt.Sprintf("%8d %-12s %s", e.Cycle, e.Unit, e.Msg)
 }
 
+// Formatter renders a kept event record as its trace unit and message.
+type Formatter func(r *event.Record) (unit, msg string)
+
+// entry is one ring slot: an event record kept by Record, formatted when
+// read, or the line Addf formatted.
+type entry struct {
+	rec  event.Record
+	line *Event // set by Addf
+}
+
 // Log is a bounded in-memory event log.  When the bound is exceeded the
 // oldest events are discarded (ring-buffer semantics), so long simulations
 // keep the most recent — and most interesting — history.
 //
 // The bound is a true fixed-capacity ring: once full, each append overwrites
 // the oldest slot in place (head index + wraparound), so steady-state
-// appends are O(1) regardless of the bound.
+// appends are O(1) regardless of the bound, and Record allocates nothing.
 type Log struct {
 	now     func() uint64
-	events  []Event
+	format  Formatter
+	entries []entry
 	max     int
 	head    int // index of the oldest retained event once the ring is full
 	dropped uint64
 }
 
 // NewLog returns a log retaining at most max events (max <= 0 means an
-// unbounded log), stamping each with the now clock (typically the simulation
-// engine's Now).
-func NewLog(max int, now func() uint64) *Log {
-	return &Log{now: now, max: max}
+// unbounded log), stamping each Addf line with the now clock (typically the
+// simulation engine's Now) and rendering each kept record with format.
+func NewLog(max int, now func() uint64, format Formatter) *Log {
+	return &Log{now: now, format: format, max: max}
 }
 
 // Addf records a formatted event at the clock's current cycle.  Safe to call
@@ -49,12 +62,24 @@ func (l *Log) Addf(unit, format string, args ...any) {
 	if l == nil {
 		return
 	}
-	e := Event{Cycle: l.now(), Unit: unit, Msg: fmt.Sprintf(format, args...)}
-	if l.max <= 0 || len(l.events) < l.max {
-		l.events = append(l.events, e)
+	l.add(entry{line: &Event{Cycle: l.now(), Unit: unit, Msg: fmt.Sprintf(format, args...)}})
+}
+
+// Record keeps a copy of r, stamped with r.Cycle, and formats it only when
+// the log is read.  Safe to call on a nil log.
+func (l *Log) Record(r *event.Record) {
+	if l == nil {
 		return
 	}
-	l.events[l.head] = e
+	l.add(entry{rec: *r})
+}
+
+func (l *Log) add(e entry) {
+	if l.max <= 0 || len(l.entries) < l.max {
+		l.entries = append(l.entries, e)
+		return
+	}
+	l.entries[l.head] = e
 	l.head++
 	if l.head == l.max {
 		l.head = 0
@@ -65,10 +90,15 @@ func (l *Log) Addf(unit, format string, args ...any) {
 // at returns the i-th retained event, oldest first.
 func (l *Log) at(i int) Event {
 	j := l.head + i
-	if j >= len(l.events) {
-		j -= len(l.events)
+	if j >= len(l.entries) {
+		j -= len(l.entries)
 	}
-	return l.events[j]
+	e := &l.entries[j]
+	if e.line != nil {
+		return *e.line
+	}
+	unit, msg := l.format(&e.rec)
+	return Event{Cycle: e.rec.Cycle, Unit: unit, Msg: msg}
 }
 
 // Events returns a snapshot of the retained events in ring order (oldest
@@ -78,7 +108,7 @@ func (l *Log) Events() (events []Event, dropped uint64) {
 	if l == nil {
 		return nil, 0
 	}
-	events = make([]Event, len(l.events))
+	events = make([]Event, len(l.entries))
 	for i := range events {
 		events[i] = l.at(i)
 	}
@@ -98,7 +128,7 @@ func (l *Log) Len() int {
 	if l == nil {
 		return 0
 	}
-	return len(l.events)
+	return len(l.entries)
 }
 
 // WriteTo dumps the retained events to w, one per line.
@@ -107,7 +137,7 @@ func (l *Log) WriteTo(w io.Writer) (int64, error) {
 		return 0, nil
 	}
 	var total int64
-	for i := 0; i < len(l.events); i++ {
+	for i := 0; i < len(l.entries); i++ {
 		n, err := io.WriteString(w, l.at(i).String()+"\n")
 		total += int64(n)
 		if err != nil {

@@ -1,19 +1,23 @@
 package trace
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+
+	"hetcc/internal/event"
 )
 
 // clockLog returns a log bounded to max events whose clock reads *now.
 func clockLog(max int) (*Log, *uint64) {
 	now := new(uint64)
-	return NewLog(max, func() uint64 { return *now }), now
+	return NewLog(max, func() uint64 { return *now }, nil), now
 }
 
 func TestNilLogIsSafe(t *testing.T) {
 	var l *Log
 	l.Addf("unit", "message %d", 1)
+	l.Record(&event.Record{})
 	if l.Len() != 0 || l.Dropped() != 0 {
 		t.Fatal("nil log misbehaves")
 	}
@@ -108,5 +112,36 @@ func TestEventString(t *testing.T) {
 	e := Event{Cycle: 7, Unit: "bus", Msg: "x"}
 	if s := e.String(); !strings.Contains(s, "7") || !strings.Contains(s, "bus") {
 		t.Fatalf("event string %q", s)
+	}
+}
+
+// formatAddr renders a kept record as its kind and address.
+func formatAddr(r *event.Record) (string, string) {
+	return "bus", fmt.Sprintf("%s 0x%x", r.Kind, r.Addr)
+}
+
+// TestRecordFormatsWhenRead: kept records are rendered by the log's
+// formatter at read time, in ring order with the Addf lines, and keep their
+// own cycle stamps.
+func TestRecordFormatsWhenRead(t *testing.T) {
+	now := uint64(9)
+	l := NewLog(3, func() uint64 { return now }, formatAddr)
+	l.Record(&event.Record{Cycle: 5, Kind: event.Retry, Addr: 0x10})
+	l.Addf("bus", "hardware deadlock")
+	l.Record(&event.Record{Cycle: 11, Kind: event.BusGrant, Addr: 0x20})
+	l.Record(&event.Record{Cycle: 12, Kind: event.Drain, Addr: 0x30})
+	evs, dropped := l.Events()
+	want := []Event{
+		{Cycle: 9, Unit: "bus", Msg: "hardware deadlock"},
+		{Cycle: 11, Unit: "bus", Msg: "bus-grant 0x20"},
+		{Cycle: 12, Unit: "bus", Msg: "drain 0x30"},
+	}
+	if dropped != 1 || len(evs) != len(want) {
+		t.Fatalf("events %v (dropped %d), want %v (dropped 1)", evs, dropped, want)
+	}
+	for i := range want {
+		if evs[i] != want[i] {
+			t.Errorf("event %d = %+v, want %+v", i, evs[i], want[i])
+		}
 	}
 }
