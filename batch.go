@@ -18,13 +18,10 @@ type BatchSpec struct {
 }
 
 // BatchOptions tunes RunBatch; the zero value runs sequentially (one worker)
-// with no timeout and no reports.
+// with no reports.
 type BatchOptions struct {
 	// Jobs is the worker count; <= 0 selects GOMAXPROCS.
 	Jobs int
-	// Timeout, when positive, abandons any single run exceeding this wall
-	// clock (the run's own MaxCycles budget remains the primary bound).
-	Timeout time.Duration
 	// BaseSeed, when nonzero, gives every spec with a zero Params.Seed a
 	// per-index seed via runner.DeriveSeed, so batch members draw distinct
 	// but reproducible workload streams.
@@ -47,7 +44,7 @@ type BatchResult struct {
 	// Digest is the hex SHA-256 of Report's canonical JSON (empty unless
 	// BatchOptions.Reports).
 	Digest string
-	// Err is a build/run-dispatch error, a captured panic, or a timeout;
+	// Err is a build/run-dispatch error or a captured panic;
 	// simulation-level failures stay in Result.Err as for Run.
 	Err error
 	// Elapsed is the run's wall-clock duration.
@@ -88,7 +85,7 @@ func RunBatch(specs []BatchSpec, opts BatchOptions) []BatchResult {
 			},
 		}
 	}
-	outcomes := runner.Execute(tasks, runner.Options{Jobs: opts.Jobs, Timeout: opts.Timeout})
+	outcomes := runner.Execute(tasks, runner.Options{Jobs: opts.Jobs})
 	results := make([]BatchResult, len(outcomes))
 	for i, o := range outcomes {
 		results[i] = o.Value

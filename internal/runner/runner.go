@@ -12,13 +12,11 @@
 //   - stochastic tasks derive their seed with DeriveSeed(base, index), a pure
 //     function of the batch seed and the task's position.
 //
-// A panicking task is captured per worker (it fails only its own outcome,
-// wrapped in *PanicError with the stack), and an optional per-task wall-clock
-// timeout abandons runaway tasks without stalling the pool.
+// A panicking task is captured per worker: it fails only its own outcome,
+// wrapped in *PanicError with the stack.
 package runner
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -34,36 +32,23 @@ type Task[T any] struct {
 	Run func() (T, error)
 }
 
-// Options tunes Execute; the zero value runs on GOMAXPROCS workers with no
-// timeout.
+// Options tunes Execute; the zero value runs on GOMAXPROCS workers.
 type Options struct {
 	// Jobs is the worker count; <= 0 selects runtime.GOMAXPROCS(0).
 	Jobs int
-	// Timeout, when positive, bounds each task's wall clock.  A task that
-	// exceeds it fails with an error wrapping ErrTimeout; its goroutine is
-	// abandoned (the result discarded when it eventually finishes), so tasks
-	// should also bound themselves internally (e.g. a simulation cycle
-	// budget) — the timeout is a safety net, not the primary bound.
-	Timeout time.Duration
 }
 
 // Outcome is the result of one task, reported at the task's submission index.
 type Outcome[T any] struct {
-	// Index is the task's position in the batch.
-	Index int
 	// Label echoes the task's label.
 	Label string
 	// Value is the task's result (zero on error).
 	Value T
-	// Err is the task's error, a *PanicError if it panicked, or an error
-	// wrapping ErrTimeout if it exceeded Options.Timeout.
+	// Err is the task's error, or a *PanicError if it panicked.
 	Err error
 	// Elapsed is the task's wall-clock duration.
 	Elapsed time.Duration
 }
-
-// ErrTimeout marks a task abandoned after exceeding Options.Timeout.
-var ErrTimeout = errors.New("runner: task timed out")
 
 // PanicError is a panic captured inside a task.
 type PanicError struct {
@@ -81,8 +66,8 @@ func (e *PanicError) Error() string {
 }
 
 // Execute runs the batch and returns one outcome per task, in task order.
-// Workers pull task indices from a bounded queue; a failing (or panicking, or
-// timed-out) task never affects its siblings.
+// Workers pull task indices from a bounded queue; a failing (or panicking)
+// task never affects its siblings.
 func Execute[T any](tasks []Task[T], opts Options) []Outcome[T] {
 	jobs := opts.Jobs
 	if jobs <= 0 {
@@ -112,7 +97,7 @@ func Execute[T any](tasks []Task[T], opts Options) []Outcome[T] {
 		go func() {
 			defer wg.Done()
 			for i := range queue {
-				out[i] = runOne(i, tasks[i], opts.Timeout)
+				out[i] = runOne(tasks[i])
 			}
 		}()
 	}
@@ -120,34 +105,11 @@ func Execute[T any](tasks []Task[T], opts Options) []Outcome[T] {
 	return out
 }
 
-// runOne executes a single task, capturing panics and enforcing the optional
-// wall-clock bound.
-func runOne[T any](index int, task Task[T], timeout time.Duration) Outcome[T] {
+// runOne executes a single task, capturing panics and timing it.
+func runOne[T any](task Task[T]) Outcome[T] {
 	start := time.Now()
-	o := Outcome[T]{Index: index, Label: task.Label}
-	if timeout <= 0 {
-		o.Value, o.Err = protect(task)
-		o.Elapsed = time.Since(start)
-		return o
-	}
-
-	type reply struct {
-		value T
-		err   error
-	}
-	done := make(chan reply, 1)
-	go func() {
-		v, err := protect(task)
-		done <- reply{v, err}
-	}()
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	select {
-	case r := <-done:
-		o.Value, o.Err = r.value, r.err
-	case <-timer.C:
-		o.Err = fmt.Errorf("runner: task %q: %w after %v", task.Label, ErrTimeout, timeout)
-	}
+	o := Outcome[T]{Label: task.Label}
+	o.Value, o.Err = protect(task)
 	o.Elapsed = time.Since(start)
 	return o
 }
@@ -162,18 +124,6 @@ func protect[T any](task Task[T]) (value T, err error) {
 		}
 	}()
 	return task.Run()
-}
-
-// FirstError returns the lowest-index non-nil outcome error, or nil.  Because
-// outcomes are index-ordered, the reported error is the same one a sequential
-// run would have hit first, whatever the worker count.
-func FirstError[T any](outcomes []Outcome[T]) error {
-	for _, o := range outcomes {
-		if o.Err != nil {
-			return o.Err
-		}
-	}
-	return nil
 }
 
 // DeriveSeed derives the per-task seed for task index from a batch base seed:

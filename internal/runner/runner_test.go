@@ -32,9 +32,9 @@ func TestExecuteOrdered(t *testing.T) {
 			t.Fatalf("jobs=%d: got %d outcomes, want %d", jobs, len(out), n)
 		}
 		for i, o := range out {
-			if o.Index != i || o.Value != i*i || o.Err != nil {
-				t.Fatalf("jobs=%d: outcome %d = {index %d, value %d, err %v}, want {%d, %d, nil}",
-					jobs, i, o.Index, o.Value, o.Err, i, i*i)
+			if o.Value != i*i || o.Err != nil {
+				t.Fatalf("jobs=%d: outcome %d = {value %d, err %v}, want {%d, nil}",
+					jobs, i, o.Value, o.Err, i*i)
 			}
 			if o.Label != fmt.Sprintf("task-%d", i) {
 				t.Fatalf("jobs=%d: outcome %d label %q", jobs, i, o.Label)
@@ -94,31 +94,10 @@ func TestExecutePanicCapture(t *testing.T) {
 	if pe.Value != "kaboom" || pe.Label != "boom" || pe.Stack == "" {
 		t.Fatalf("panic error = {%q %v stack:%d bytes}", pe.Label, pe.Value, len(pe.Stack))
 	}
-	if err := FirstError(out); err != out[1].Err {
-		t.Fatalf("FirstError = %v, want the panic", err)
-	}
 }
 
-// TestExecuteTimeout: a runaway task is abandoned with ErrTimeout while the
-// rest of the batch completes normally.
-func TestExecuteTimeout(t *testing.T) {
-	release := make(chan struct{})
-	defer close(release)
-	tasks := []Task[string]{
-		{Label: "fast", Run: func() (string, error) { return "done", nil }},
-		{Label: "stuck", Run: func() (string, error) { <-release; return "late", nil }},
-	}
-	out := Execute(tasks, Options{Jobs: 2, Timeout: 20 * time.Millisecond})
-	if out[0].Err != nil || out[0].Value != "done" {
-		t.Fatalf("fast task: %q, %v", out[0].Value, out[0].Err)
-	}
-	if !errors.Is(out[1].Err, ErrTimeout) {
-		t.Fatalf("stuck task error = %v, want ErrTimeout", out[1].Err)
-	}
-}
-
-// TestExecuteErrorIsolation: an ordinary task error is reported at its index
-// and FirstError returns the lowest-index failure regardless of worker count.
+// TestExecuteErrorIsolation: an ordinary task error is reported at its
+// index, whatever the worker count.
 func TestExecuteErrorIsolation(t *testing.T) {
 	errA := errors.New("a failed")
 	errB := errors.New("b failed")
@@ -129,11 +108,8 @@ func TestExecuteErrorIsolation(t *testing.T) {
 	}
 	for _, jobs := range []int{1, 3} {
 		out := Execute(tasks, Options{Jobs: jobs})
-		if !errors.Is(FirstError(out), errA) {
-			t.Fatalf("jobs=%d: FirstError = %v, want errA", jobs, FirstError(out))
-		}
-		if !errors.Is(out[2].Err, errB) {
-			t.Fatalf("jobs=%d: outcome 2 err = %v", jobs, out[2].Err)
+		if out[0].Err != nil || !errors.Is(out[1].Err, errA) || !errors.Is(out[2].Err, errB) {
+			t.Fatalf("jobs=%d: errors %v / %v / %v, want nil / errA / errB", jobs, out[0].Err, out[1].Err, out[2].Err)
 		}
 	}
 }
