@@ -141,7 +141,11 @@ func TestSummaryShapeAndDeterminism(t *testing.T) {
 	if len(s.Lines) != 3 || s.Lines[0].Addr != "0x20000000" || s.Lines[1].Transitions != 2 {
 		t.Fatalf("lines %v, want 3 entries sorted by address", s.Lines)
 	}
-	b1, err := json.Marshal(s)
+	a.Handle(&event.Record{Kind: event.Retry, Core: 0, Addr: line0})
+	if ev := a.Summary().Events; len(ev) != 2 || ev["state-change"] != 4 || ev["retry"] != 1 {
+		t.Fatalf("events by kind %v, want the non-zero kinds only: state-change 4, retry 1", ev)
+	}
+	b1, err := json.Marshal(a.Summary())
 	if err != nil {
 		t.Fatal(err)
 	}
