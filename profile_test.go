@@ -9,6 +9,7 @@ package hetcc
 // steppers) and an attribution gap in any of them would break the sum.
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -16,6 +17,7 @@ import (
 	"hetcc/internal/core"
 	"hetcc/internal/platform"
 	"hetcc/internal/profile"
+	"hetcc/internal/sim"
 )
 
 // schedulerModes: the conservation sweeps run under both engine scheduling
@@ -184,5 +186,45 @@ func TestStallProfileInvalRemiss(t *testing.T) {
 	i486 := res.Profile.Cores[1]
 	if i486.Causes[profile.CauseInval.String()] == 0 {
 		t.Errorf("Intel486 shows no inval-remiss cycles; causes %v", i486.Causes)
+	}
+}
+
+// TestStallConservationAbnormalEnds covers runs that end with a core still
+// stalled, where the ledger's end-of-run flush alone attributes the trailing
+// edges: the PF2 cached test-and-set run that ends in the paper's hardware
+// deadlock, and PF2 WCS runs cut short by their cycle budget.
+func TestStallConservationAbnormalEnds(t *testing.T) {
+	base := Config{
+		Scenario: WCS,
+		Solution: Proposed,
+		Params:   Params{Lines: 4, ExecTime: 1, Iterations: 6},
+		Verify:   true,
+		Profile:  true,
+	}
+	deadlock := base
+	deadlock.Lock = &platform.LockChoice{Kind: platform.LockCachedTAS, SpinDelay: 4}
+	deadlock.MaxCycles = 5_000_000
+	for _, sched := range schedulerModes {
+		t.Run(sched+"/cached-tas-deadlock", func(t *testing.T) {
+			cfg := deadlock
+			cfg.Scheduler = sched
+			res := MustRun(cfg)
+			if !res.Deadlocked() {
+				t.Fatalf("want the hardware deadlock, got err=%v (%s)", res.Err, res.StopReason)
+			}
+			checkConservation(t, res)
+		})
+		for _, budget := range []uint64{1001, 5003} {
+			t.Run(fmt.Sprintf("%s/budget-%d", sched, budget), func(t *testing.T) {
+				cfg := base
+				cfg.Scheduler = sched
+				cfg.MaxCycles = budget
+				res := MustRun(cfg)
+				if !errors.Is(res.Err, sim.ErrMaxCycles) || res.Cycles != budget {
+					t.Fatalf("want the budget cut at %d cycles, got err=%v after %d", budget, res.Err, res.Cycles)
+				}
+				checkConservation(t, res)
+			})
+		}
 	}
 }
