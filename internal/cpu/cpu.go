@@ -155,10 +155,8 @@ type CPU struct {
 	mISR     *metrics.Histogram
 	isrStart uint64
 
-	// prof is the nil-safe stall-cause ledger (see SetProfile); wasStalled
-	// detects the stall→run edge so stall episodes are closed exactly once.
-	prof       *profile.Ledger
-	wasStalled bool
+	// prof is the nil-safe stall-cause ledger (see SetProfile).
+	prof *profile.Ledger
 
 	// handle is the core's event-scheduler registration (nil under the tick
 	// scheduler; see BindScheduler).  lastTicked is the engine cycle of the
@@ -211,10 +209,12 @@ func (c *CPU) SetMetrics(r *metrics.Registry) {
 	c.mISR = r.Histogram("cpu.isr.enginecycles")
 }
 
-// SetProfile attaches the core to the stall-cause ledger.  The ledger is
-// ticked at exactly the site that increments Stats.StallCycles, so the
-// attributed causes and the aggregate stay conserved against each other.  A
-// nil ledger costs one nil check per stalled cycle.
+// SetProfile attaches the core to the stall-cause ledger.  The core tells
+// the ledger where each stall episode begins (stall) and where it ends
+// (syncUnstall, after the stalled edges are counted into
+// Stats.StallCycles), so the attributed causes and the aggregate stay
+// conserved against each other.  A nil ledger costs one nil check per stall
+// episode.
 func (c *CPU) SetProfile(l *profile.Ledger) { c.prof = l }
 
 // OnHalt installs the halt notification used by the platform to stop the
@@ -304,13 +304,7 @@ func (c *CPU) Tick(now uint64) {
 	// problem (Figure 4).
 	if c.state == stateStalled {
 		c.stats.StallCycles++
-		c.wasStalled = true
-		c.prof.StallTick(c.id, now)
 		return
-	}
-	if c.wasStalled {
-		c.wasStalled = false
-		c.prof.StallEnd(c.id)
 	}
 	// ISR in progress: run it (including its entry/exit delay cycles).
 	if c.isr != isrIdle {
@@ -388,8 +382,6 @@ func (c *CPU) applySkipped(through uint64) {
 	switch {
 	case c.state == stateStalled:
 		c.stats.StallCycles += k
-		c.wasStalled = true
-		c.prof.StallTick(c.id, e) // the armed ledger flushes every edge through e
 	case c.isr != isrIdle:
 		if uint64(c.delay) < k {
 			panic("cpu: event catch-up overran an ISR delay")
@@ -461,15 +453,15 @@ func (c *CPU) NextWake(now uint64) (uint64, bool) {
 // syncUnstall accounts the stalled edges up to the current engine cycle
 // before a completion callback mutates the core's state.  In tick mode the
 // bus callback fires after the cycle's CPU edge, so that edge is included;
-// it then disarms the stall ledger so bus events between now and the
-// core's next tick stop attributing stall edges (the core is no longer
-// stalled).  The catch-up is a no-op in tick mode or when called
-// synchronously from the core's own tick.
+// it then ends the ledger's stall episode through that last stalled edge,
+// so bus events between now and the core's next tick attribute nothing
+// (the core is no longer stalled).  The catch-up is a no-op in tick mode
+// or when called synchronously from the core's own tick.
 func (c *CPU) syncUnstall() {
 	if c.handle != nil {
 		c.catchUp(c.handle.Now())
 	}
-	c.prof.Disarm(c.id)
+	c.prof.Unstall(c.id, c.lastTicked)
 }
 
 // wakeNext schedules the core's next local clock edge after a completion
@@ -480,8 +472,12 @@ func (c *CPU) wakeNext() {
 	}
 }
 
-// armStall arms the stall ledger for the stall episode that begins at now.
-func (c *CPU) armStall(now uint64) { c.prof.Arm(c.id, now, c.cfg.ClockDiv) }
+// stall blocks the core on its outstanding operation and opens the
+// ledger's stall episode of class at now.
+func (c *CPU) stall(now uint64, class profile.Class) {
+	c.state = stateStalled
+	c.prof.Stall(c.id, class, now, c.cfg.ClockDiv)
+}
 
 func (c *CPU) halt(now uint64) {
 	if c.halted {
@@ -516,9 +512,7 @@ func (c *CPU) stepISR(now uint64) {
 			c.isr = isrExit
 			c.delay = c.cfg.ISRExit
 		case cache.Pending:
-			c.state = stateStalled
-			c.prof.StallDrain(c.id)
-			c.armStall(now)
+			c.stall(now, profile.ClassDrain)
 		case cache.Busy:
 			c.stats.BusyRetries++
 		}
@@ -554,9 +548,7 @@ func (c *CPU) execute(now uint64, op isa.Op) {
 			c.delay = c.cfg.CacheOpOverhead
 			c.retire()
 		case cache.Pending:
-			c.state = stateStalled
-			c.prof.StallDrain(c.id)
-			c.armStall(now)
+			c.stall(now, profile.ClassDrain)
 		case cache.Busy:
 			c.stats.BusyRetries++
 		}
@@ -590,9 +582,7 @@ func (c *CPU) waitEq(now uint64, addr, val uint32) {
 		case cache.Done:
 			c.waitEqDone(v)
 		case cache.Pending:
-			c.state = stateStalled
-			c.prof.StallLock(c.id)
-			c.armStall(now)
+			c.stall(now, profile.ClassLock)
 		case cache.Busy:
 			c.stats.BusyRetries++
 		}
@@ -603,9 +593,7 @@ func (c *CPU) waitEq(now uint64, addr, val uint32) {
 		c.stats.BusyRetries++
 		return
 	}
-	c.state = stateStalled
-	c.prof.StallLock(c.id)
-	c.armStall(now)
+	c.stall(now, profile.ClassLock)
 }
 
 // waitEqDone resolves one WaitEq poll: retire on a match, otherwise back off
@@ -647,9 +635,7 @@ func (c *CPU) memAccess(now uint64, write bool, addr, val uint32) {
 			c.delay = c.cfg.AccessOverhead
 			c.retire()
 		case cache.Pending:
-			c.state = stateStalled
-			c.prof.StallAccess(c.id)
-			c.armStall(now)
+			c.stall(now, profile.ClassAccess)
 		case cache.Busy:
 			c.stats.BusyRetries++
 		}
@@ -664,9 +650,7 @@ func (c *CPU) memAccess(now uint64, write bool, addr, val uint32) {
 		c.stats.BusyRetries++
 		return
 	}
-	c.state = stateStalled
-	c.prof.StallAccess(c.id)
-	c.armStall(now)
+	c.stall(now, profile.ClassAccess)
 }
 
 // accessDone retires the outstanding load/store once the memory system
@@ -768,9 +752,7 @@ func (c *CPU) stepLock(now uint64, release bool, lockID int) {
 			c.stats.LockOps--
 			return
 		}
-		c.state = stateStalled
-		c.prof.StallLock(c.id)
-		c.armStall(now)
+		c.stall(now, profile.ClassLock)
 	case lock.ReadCached, lock.WriteCached:
 		write := op.Kind == lock.WriteCached
 		status, v := c.ctl.Access(write, op.Addr, op.Val, c.lockOpDoneFn)
@@ -779,9 +761,7 @@ func (c *CPU) stepLock(now uint64, release bool, lockID int) {
 			c.lockLast = v
 			c.lockHasPending = false
 		case cache.Pending:
-			c.state = stateStalled
-			c.prof.StallLock(c.id)
-			c.armStall(now)
+			c.stall(now, profile.ClassLock)
 		case cache.Busy:
 			c.stats.BusyRetries++
 			c.stats.LockOps--

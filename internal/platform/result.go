@@ -197,7 +197,7 @@ func (p *Platform) Run(maxCycles uint64) Result {
 		res.Audit = &s
 	}
 	if p.profiler != nil {
-		p.profiler.Finish()
+		p.profiler.Finish(res.Cycles - 1)
 		s := p.profiler.Summary()
 		res.Profile = &s
 		res.StallSpans = p.profiler.Spans()

@@ -25,15 +25,13 @@ func TestAllocsLedger(t *testing.T) {
 		line := 0x2000_0000 + 32*(i%4)
 		emit(event.SnoopHit, 0, line, 0)
 		emit(event.BusRequest, 0, line, bus.ReadLine)
-		l.StallAccess(0)
-		l.Arm(0, now, 1)
+		l.Stall(0, ClassAccess, now, 1)
 		now += 2
 		emit(event.BusGrant, 0, line, bus.ReadLine)
 		now += 2
-		l.StallTick(0, now)
 		emit(event.BusComplete, 0, line, bus.ReadLine)
+		l.Unstall(0, now)
 		now++
-		l.StallEnd(0)
 	}
 	for j := 0; j < 16; j++ {
 		life()

@@ -6,10 +6,11 @@
 //
 // The ledger is driven from two sides:
 //
-//   - the CPU classifies each stall episode as it begins (memory access,
-//     lock/flag spin, or cache drain) and ticks the ledger once per stalled
-//     CPU cycle, so the per-cause sums are conserved against
-//     cpu.Stats.StallCycles by construction;
+//   - the CPU tells the ledger where each stall episode begins, with its
+//     class (memory access, lock/flag spin, or cache drain), and where it
+//     ends; the ledger attributes the stalled CPU edges in between in bulk,
+//     so the per-cause sums are conserved against cpu.Stats.StallCycles by
+//     construction;
 //   - the coherence event stream (package event) tracks the bus-side phase
 //     of the core's outstanding transactions — arbitration wait, ARTRY
 //     back-off, drain wait, data phase — refining memory-access stalls into
@@ -98,14 +99,19 @@ func Causes() []Cause {
 	return out
 }
 
-// stallClass is the CPU-side classification of the current stall episode.
-type stallClass uint8
+// Class is the CPU-side classification of a stall episode.
+type Class uint8
 
 const (
-	classNone stallClass = iota
-	classAccess
-	classLock
-	classDrain
+	classNone Class = iota
+	// ClassAccess: a memory-access stall (cache miss, bus write, or
+	// uncached access).
+	ClassAccess
+	// ClassLock: a lock-protocol or flag-spin stall.
+	ClassLock
+	// ClassDrain: a cache-drain stall (software clean, explicit cache op,
+	// or ISR drain).
+	ClassDrain
 )
 
 // busPhase tracks where a core's oldest outstanding bus transaction is in
@@ -137,9 +143,9 @@ type Span struct {
 const DefaultMaxSpans = 1 << 17
 
 type coreState struct {
-	class        stallClass
-	inval        bool // the open access stall is an invalidation re-miss
-	pendingInval bool // the next access stall will be an invalidation re-miss
+	class        Class // classNone outside a stall episode
+	inval        bool  // the open access stall is an invalidation re-miss
+	pendingInval bool  // the next access stall will be an invalidation re-miss
 
 	queued    int // outstanding bus transactions for this master
 	pendingWB int // of which write-backs (drains)
@@ -148,11 +154,10 @@ type coreState struct {
 
 	counts [causeCount]uint64
 
-	// While armed, stalled CPU edges are attributed in bulk at each
-	// state-mutation point (and at each StallTick) against the state in
-	// force since the last one.  lastEdge is the engine cycle of the last
-	// attributed edge, div the core's clock divisor.
-	armed    bool
+	// During a stall episode, stalled CPU edges are attributed in bulk at
+	// each state-mutation point, at Unstall and at Finish, against the
+	// state in force since the last one.  lastEdge is the engine cycle of
+	// the last attributed edge, div the core's clock divisor.
 	lastEdge uint64
 	div      uint64
 
@@ -258,64 +263,31 @@ func (l *Ledger) HandleEvent(r *event.Record) {
 	}
 }
 
-// StallAccess marks the start of a memory-access stall (cache miss, bus
-// write, or uncached access) for core.
-func (l *Ledger) StallAccess(core int) {
+// Stall opens a stall episode of class for core.  now is the engine cycle
+// of the instruction that stalled (its first stalled edge is now+div) and
+// div the core's clock divisor.  Stalled edges are not attributed outside
+// an episode.
+func (l *Ledger) Stall(core int, class Class, now, div uint64) {
 	if cs := l.core(core); cs != nil {
-		cs.class = classAccess
-		cs.inval = cs.pendingInval
+		cs.class = class
+		cs.inval = class == ClassAccess && cs.pendingInval
 		cs.pendingInval = false
-	}
-}
-
-// StallLock marks the start of a lock-protocol or flag-spin stall for core.
-func (l *Ledger) StallLock(core int) {
-	if cs := l.core(core); cs != nil {
-		cs.class = classLock
-		cs.inval, cs.pendingInval = false, false
-	}
-}
-
-// StallDrain marks the start of a cache-drain stall for core (software
-// clean, explicit cache op, or ISR drain).
-func (l *Ledger) StallDrain(core int) {
-	if cs := l.core(core); cs != nil {
-		cs.class = classDrain
-		cs.inval, cs.pendingInval = false, false
-	}
-}
-
-// StallEnd marks the end of a stall episode: the CPU calls it on the first
-// non-stalled tick after a stall.
-func (l *Ledger) StallEnd(core int) {
-	if cs := l.core(core); cs != nil {
-		l.closeSpan(core, cs)
-		cs.class = classNone
-		cs.inval, cs.pendingInval = false, false
-		cs.armed = false
-	}
-}
-
-// Arm starts stall attribution for the episode that just began: now is the
-// engine cycle of the instruction that stalled (its first stalled edge is
-// now+div).  The CPU arms the ledger at every stall site under both
-// schedulers; stalled edges of an unarmed core are not attributed.
-func (l *Ledger) Arm(core int, now, div uint64) {
-	if cs := l.core(core); cs != nil {
-		cs.armed = true
 		cs.lastEdge = now
 		cs.div = div
 	}
 }
 
-// Disarm ends attribution for core without closing the stall episode
-// (StallEnd still runs at the CPU's next tick, exactly as in tick mode).
-// The CPU calls it when a completion callback unstalls the core, so bus
-// events between the unstall and the core's next tick no longer attribute
-// edges the CPU will not count.
-func (l *Ledger) Disarm(core int) {
-	if cs := l.core(core); cs != nil {
-		cs.armed = false
+// Unstall ends core's stall episode when the completion that unblocks the
+// core arrives: it attributes the stalled edges through engine cycle
+// through (the core's last stalled edge), closes the open span and clears
+// the class and re-miss flags, so bus events before the core's next stall
+// attribute nothing.  It does nothing outside an episode.
+func (l *Ledger) Unstall(core int, through uint64) {
+	if cs := l.core(core); cs != nil && cs.class != classNone {
+		l.flushThrough(core, cs, through)
+		l.closeSpan(core, cs)
+		cs.class = classNone
+		cs.inval, cs.pendingInval = false, false
 	}
 }
 
@@ -324,7 +296,7 @@ func (l *Ledger) Disarm(core int) {
 // every mutation of that state, which is what makes bulk attribution
 // edge-exact: between two mutations the resolved cause is constant.
 func (l *Ledger) flushThrough(core int, cs *coreState, through uint64) {
-	if !cs.armed {
+	if cs.class == classNone {
 		return
 	}
 	last := through - through%cs.div
@@ -353,7 +325,7 @@ func (l *Ledger) noteRefill(cs *coreState, line coreLine) {
 		return
 	}
 	delete(l.lost, line)
-	if cs.class == classAccess {
+	if cs.class == ClassAccess {
 		cs.inval = true
 	} else {
 		cs.pendingInval = true
@@ -364,11 +336,11 @@ func (l *Ledger) noteRefill(cs *coreState, line coreLine) {
 // stalled cycle.
 func (cs *coreState) resolve() Cause {
 	switch cs.class {
-	case classLock:
+	case ClassLock:
 		return CauseLock
-	case classDrain:
+	case ClassDrain:
 		return CauseDrain
-	case classAccess:
+	case ClassAccess:
 		if cs.inval {
 			return CauseInval
 		}
@@ -390,16 +362,6 @@ func (cs *coreState) resolve() Cause {
 		}
 	}
 	return CauseOther
-}
-
-// StallTick attributes the armed core's stalled CPU edges through engine
-// cycle now.  The CPU calls it at exactly the sites that increment
-// Stats.StallCycles (once per stalled tick, or once per bulk catch-up), so
-// the per-cause sums and the aggregate are conserved against each other.
-func (l *Ledger) StallTick(core int, now uint64) {
-	if cs := l.core(core); cs != nil {
-		l.flushThrough(core, cs, now)
-	}
 }
 
 // closeSpan ends core's open span and keeps it in close order: by the engine
@@ -447,12 +409,16 @@ func (l *Ledger) keepSpan(i, core int, cs *coreState) {
 	l.spans[i] = Span{Core: core, Cause: cs.spanCause, Start: cs.spanStart, End: cs.spanEnd}
 }
 
-// Finish closes any open spans, in core order after every span closed
-// during the run.  The platform calls it once at the end of the run,
-// before Summary and Spans.
-func (l *Ledger) Finish() {
+// Finish ends the run at engine cycle end, the last cycle the engine ran:
+// it attributes the stalled edges of every core still stalled through end,
+// then closes the open spans, in core order after every span closed during
+// the run.  The platform calls it once, before Summary and Spans.
+func (l *Ledger) Finish(end uint64) {
 	if l == nil {
 		return
+	}
+	for i := range l.cores {
+		l.flushThrough(i, &l.cores[i], end)
 	}
 	for i := range l.cores {
 		if cs := &l.cores[i]; cs.spanOpen {

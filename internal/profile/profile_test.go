@@ -13,15 +13,10 @@ import (
 // the disabled path must be a no-op, never a panic.
 func TestNilLedgerIsSafe(t *testing.T) {
 	var l *Ledger
-	l.StallAccess(0)
-	l.StallLock(0)
-	l.StallDrain(0)
-	l.StallEnd(0)
-	l.Arm(0, 0, 1)
-	l.Disarm(0)
-	l.StallTick(0, 10)
+	l.Stall(0, ClassAccess, 0, 1)
+	l.Unstall(0, 10)
 	l.HandleEvent(&event.Record{Kind: event.BusRequest})
-	l.Finish()
+	l.Finish(10)
 	if l.Spans() != nil || l.Total(0) != 0 || l.Count(0, CauseArb) != 0 {
 		t.Fatal("nil ledger misbehaves")
 	}
@@ -51,29 +46,25 @@ func TestCauseStrings(t *testing.T) {
 	}
 }
 
-// drive replays a scripted bus lifecycle for core 0 through HandleEvent.
-func drive(l *Ledger, kind event.Kind, busKind bus.Kind, drain bool) {
-	l.HandleEvent(&event.Record{Kind: kind, Core: 0, BusKind: uint8(busKind), Drain: drain})
+// drive replays a scripted bus lifecycle for core 0 through HandleEvent: a
+// record at cycle now attributes the stalled edges through now against the
+// state before it, as the CPU ticks before the bus each cycle.
+func drive(l *Ledger, now uint64, kind event.Kind, busKind bus.Kind, drain bool) {
+	l.HandleEvent(&event.Record{Cycle: now, Kind: kind, Core: 0, BusKind: uint8(busKind), Drain: drain})
 }
 
 // TestAccessCauseFollowsBusPhase walks one fill transaction through its
-// phases and checks each stalled tick lands in the matching bucket.
+// phases and checks each stalled edge lands in the matching bucket.
 func TestAccessCauseFollowsBusPhase(t *testing.T) {
 	l := NewLedger(1)
-	l.StallAccess(0)
-	l.Arm(0, 0, 1)
+	l.Stall(0, ClassAccess, 0, 1)
 
-	l.StallTick(0, 1) // no transaction visible yet: unclassified
-	drive(l, event.BusRequest, bus.ReadLine, false)
-	l.StallTick(0, 2) // queued, not granted: arbitration wait
-	drive(l, event.Retry, bus.ReadLine, false)
-	l.StallTick(0, 3) // plain ARTRY: retry backoff
-	drive(l, event.Retry, bus.ReadLine, true)
-	l.StallTick(0, 4) // drain-qualified ARTRY: drain
-	drive(l, event.BusGrant, bus.ReadLine, false)
-	l.StallTick(0, 5) // data phase of a read: refill
-	drive(l, event.BusComplete, bus.ReadLine, false)
-	l.StallEnd(0)
+	drive(l, 1, event.BusRequest, bus.ReadLine, false)  // edge 1, before the request: unclassified
+	drive(l, 2, event.Retry, bus.ReadLine, false)       // edge 2, queued, not granted: arbitration wait
+	drive(l, 3, event.Retry, bus.ReadLine, true)        // edge 3, after a plain ARTRY: retry backoff
+	drive(l, 4, event.BusGrant, bus.ReadLine, false)    // edge 4, after a drain-qualified ARTRY: drain
+	drive(l, 5, event.BusComplete, bus.ReadLine, false) // edge 5, data phase of a read: refill
+	l.Unstall(0, 5)
 
 	want := map[Cause]uint64{CauseOther: 1, CauseArb: 1, CauseRetry: 1, CauseDrain: 1, CauseRefill: 1}
 	for c, n := range want {
@@ -90,18 +81,14 @@ func TestAccessCauseFollowsBusPhase(t *testing.T) {
 // attributes the wait to the drain bucket, not arbitration/refill.
 func TestWriteBackPhasesCountAsDrain(t *testing.T) {
 	l := NewLedger(1)
-	l.StallAccess(0)
-	l.Arm(0, 0, 1)
-	drive(l, event.BusRequest, bus.WriteLine, false) // eviction WB queued
-	drive(l, event.BusRequest, bus.ReadLine, false)  // fill queued behind it
-	l.StallTick(0, 1)                                // arb with a pending WB: drain
-	drive(l, event.BusGrant, bus.WriteLine, false)
-	l.StallTick(0, 2) // WB data phase: drain
-	drive(l, event.BusComplete, bus.WriteLine, false)
-	drive(l, event.BusGrant, bus.ReadLine, false)
-	l.StallTick(0, 3) // fill data phase: refill
-	drive(l, event.BusComplete, bus.ReadLine, false)
-	l.StallEnd(0)
+	l.Stall(0, ClassAccess, 0, 1)
+	drive(l, 0, event.BusRequest, bus.WriteLine, false)  // eviction WB queued
+	drive(l, 0, event.BusRequest, bus.ReadLine, false)   // fill queued behind it
+	drive(l, 1, event.BusGrant, bus.WriteLine, false)    // edge 1, arb with a pending WB: drain
+	drive(l, 2, event.BusComplete, bus.WriteLine, false) // edge 2, WB data phase: drain
+	drive(l, 2, event.BusGrant, bus.ReadLine, false)
+	drive(l, 3, event.BusComplete, bus.ReadLine, false) // edge 3, fill data phase: refill
+	l.Unstall(0, 3)
 
 	if got := l.Count(0, CauseDrain); got != 2 {
 		t.Errorf("drain = %d, want 2", got)
@@ -128,31 +115,24 @@ func TestInvalMissAttribution(t *testing.T) {
 	}
 	// The fill request reaches the ledger before the CPU observes Pending.
 	fill(0, line)
-	l.StallAccess(0)
-	l.Arm(0, 0, 1)
-	l.StallTick(0, 1)
-	drive(l, event.BusGrant, bus.ReadLine, false)
-	l.StallTick(0, 2)
-	drive(l, event.BusComplete, bus.ReadLine, false)
-	l.StallEnd(0)
+	l.Stall(0, ClassAccess, 0, 1)
+	drive(l, 1, event.BusGrant, bus.ReadLine, false)
+	drive(l, 2, event.BusComplete, bus.ReadLine, false)
+	l.Unstall(0, 2)
 	if got := l.Count(0, CauseInval); got != 2 {
 		t.Fatalf("inval-remiss = %d, want 2 (flag must span the whole stall)", got)
 	}
 	// The next fill of the same line must not inherit the mark.
 	fill(0, line)
-	l.StallAccess(0)
-	l.Arm(0, 9, 1)
-	l.StallTick(0, 10)
-	l.StallEnd(0)
+	l.Stall(0, ClassAccess, 9, 1)
+	l.Unstall(0, 10)
 	if got := l.Count(0, CauseInval); got != 2 {
 		t.Fatalf("inval-remiss leaked into a later stall: %d", got)
 	}
 	for _, addr := range []uint32{line, line + 0x20} {
-		l.StallAccess(1)
-		l.Arm(1, 20, 1)
+		l.Stall(1, ClassAccess, 20, 1)
 		fill(1, addr)
-		l.StallTick(1, 21)
-		l.StallEnd(1)
+		l.Unstall(1, 21)
 	}
 	if got := l.Count(1, CauseInval); got != 0 {
 		t.Fatalf("core 1 inval-remiss = %d, want 0 (nothing marked it)", got)
@@ -163,35 +143,27 @@ func TestInvalMissAttribution(t *testing.T) {
 // bus phase entirely.
 func TestLockAndDrainClassesDominate(t *testing.T) {
 	l := NewLedger(1)
-	l.StallLock(0)
-	l.Arm(0, 0, 1)
-	drive(l, event.BusRequest, bus.RMWWord, false)
-	drive(l, event.BusGrant, bus.RMWWord, false)
-	l.StallTick(0, 1)
-	l.StallEnd(0)
-	drive(l, event.BusComplete, bus.RMWWord, false)
-	l.StallDrain(0)
-	l.Arm(0, 1, 1)
-	l.StallTick(0, 2)
-	l.StallEnd(0)
+	l.Stall(0, ClassLock, 0, 1)
+	drive(l, 0, event.BusRequest, bus.RMWWord, false)
+	drive(l, 0, event.BusGrant, bus.RMWWord, false)
+	l.Unstall(0, 1)
+	drive(l, 1, event.BusComplete, bus.RMWWord, false)
+	l.Stall(0, ClassDrain, 1, 1)
+	l.Unstall(0, 2)
 	if l.Count(0, CauseLock) != 1 || l.Count(0, CauseDrain) != 1 {
 		t.Fatalf("lock=%d drain=%d, want 1/1", l.Count(0, CauseLock), l.Count(0, CauseDrain))
 	}
 }
 
 // TestSpans checks contiguous same-cause runs coalesce, cause changes split,
-// and Finish closes the trailing span.
+// and Finish attributes the still-stalled core's edges and closes its span.
 func TestSpans(t *testing.T) {
 	l := NewLedger(2)
-	l.StallLock(0)
-	l.Arm(0, 8, 2)
-	l.StallTick(0, 10)
-	l.StallTick(0, 12) // same cause: extends across the clock-divided gap
-	l.StallEnd(0)
-	l.StallDrain(1)
-	l.Arm(1, 10, 1)
-	l.StallTick(1, 11)
-	l.Finish()
+	l.Stall(0, ClassLock, 8, 2)
+	drive(l, 10, event.BusRequest, bus.RMWWord, false)
+	l.Unstall(0, 12) // same cause: extends across the clock-divided gap
+	l.Stall(1, ClassDrain, 10, 1)
+	l.Finish(11)
 
 	spans := l.Spans()
 	if len(spans) != 2 {
@@ -211,10 +183,8 @@ func TestSpanBound(t *testing.T) {
 	l := NewLedger(1)
 	l.maxSpans = 2
 	for i := 0; i < 4; i++ {
-		l.StallLock(0)
-		l.Arm(0, uint64(10*i), 1)
-		l.StallTick(0, uint64(10*i+1))
-		l.StallEnd(0)
+		l.Stall(0, ClassLock, uint64(10*i), 1)
+		l.Unstall(0, uint64(10*i+1))
 	}
 	if got := len(l.Spans()); got != 2 {
 		t.Fatalf("%d spans retained, want 2", got)
@@ -232,15 +202,10 @@ func TestSpanBound(t *testing.T) {
 // rendering (core;cause count, display order, zero causes omitted).
 func TestSummaryAndFolded(t *testing.T) {
 	l := NewLedger(2)
-	l.StallLock(0)
-	l.Arm(0, 0, 1)
-	l.StallTick(0, 1)
-	l.StallTick(0, 2)
-	l.StallEnd(0)
-	l.StallDrain(1)
-	l.Arm(1, 2, 1)
-	l.StallTick(1, 3)
-	l.Finish()
+	l.Stall(0, ClassLock, 0, 1)
+	l.Unstall(0, 2)
+	l.Stall(1, ClassDrain, 2, 1)
+	l.Finish(3)
 
 	s := l.Summary()
 	if len(s.Cores) != 2 || s.Cores[0].StallCycles != 2 || s.Cores[1].StallCycles != 1 {
@@ -274,10 +239,8 @@ func (failWriter) Write([]byte) (int, error) { return 0, errors.New("disk full")
 
 func TestWriteFoldedPropagatesErrors(t *testing.T) {
 	l := NewLedger(1)
-	l.StallLock(0)
-	l.Arm(0, 0, 1)
-	l.StallTick(0, 1)
-	l.Finish()
+	l.Stall(0, ClassLock, 0, 1)
+	l.Finish(1)
 	if err := WriteFolded(failWriter{}, l.Summary(), nil); err == nil {
 		t.Fatal("write error swallowed")
 	}
@@ -289,43 +252,38 @@ func TestOutOfRangeCoresIgnored(t *testing.T) {
 	l := NewLedger(1)
 	l.HandleEvent(&event.Record{Kind: event.BusRequest, Core: 5})
 	l.HandleEvent(&event.Record{Kind: event.BusRequest, Core: -1})
-	l.StallAccess(7)
-	l.Arm(7, 0, 1)
-	l.StallTick(7, 1)
-	l.StallEnd(7)
+	l.Stall(7, ClassAccess, 0, 1)
+	l.Unstall(7, 1)
 	if l.Total(0) != 0 {
 		t.Fatal("out-of-range activity leaked into core 0")
 	}
 }
 
 // stallEpisode is one scripted stall of a core: stalled from the edge after
-// stallAt, unstalled by a completion at unstallAt, and ended at the core's
-// next edge, endAt.  A zero unstallAt leaves the stall open to the end.
+// stallAt and unstalled by a completion at unstallAt.  A zero unstallAt
+// leaves the stall open to the end.
 type stallEpisode struct {
-	core             int
-	div              uint64
-	class            func(l *Ledger, core int)
-	stallAt          uint64
-	unstallAt, endAt uint64
+	core               int
+	div                uint64
+	class              Class
+	stallAt, unstallAt uint64
 }
 
 // replayStalls drives l through episodes and the bus events as a run would,
-// cycle by cycle: the cores' edges first, then the bus.  perEdge flushes
-// every stalled edge as the tick scheduler does; otherwise stalled edges are
-// flushed only by events, by the completion that unstalls a core and once
-// at the end of the run, as the event scheduler's pull-based catch-up does.
+// cycle by cycle: the cores' edges first, then the bus.  perEdge gives every
+// stalled edge a record for its core that changes nothing, so the ledger
+// flushes at each one; otherwise stalled edges are flushed only by the bus
+// events, by the completion that unstalls a core and once at the end of the
+// run.
 func replayStalls(l *Ledger, perEdge bool, episodes []stallEpisode, events map[uint64][]event.Record, last uint64) {
 	for now := uint64(0); now <= last; now++ {
 		for _, ep := range episodes {
 			switch {
 			case now%ep.div != 0:
 			case now == ep.stallAt:
-				ep.class(l, ep.core)
-				l.Arm(ep.core, now, ep.div)
-			case now == ep.endAt && ep.unstallAt != 0:
-				l.StallEnd(ep.core)
+				l.Stall(ep.core, ep.class, now, ep.div)
 			case perEdge && now > ep.stallAt && (ep.unstallAt == 0 || now <= ep.unstallAt):
-				l.StallTick(ep.core, now)
+				l.HandleEvent(&event.Record{Cycle: now, Kind: event.StateChange, Core: ep.core})
 			}
 		}
 		for _, r := range events[now] {
@@ -334,35 +292,25 @@ func replayStalls(l *Ledger, perEdge bool, episodes []stallEpisode, events map[u
 		}
 		for _, ep := range episodes {
 			if ep.unstallAt != 0 && now == ep.unstallAt {
-				if !perEdge {
-					l.StallTick(ep.core, now)
-				}
-				l.Disarm(ep.core)
+				l.Unstall(ep.core, now)
 			}
 		}
 	}
-	if !perEdge {
-		for _, ep := range episodes {
-			l.StallTick(ep.core, last)
-		}
-	}
-	l.Finish()
+	l.Finish(last)
 }
 
 // TestSpansIndependentOfFlushCadence feeds one event and edge sequence to two
-// ledgers, one flushed at every stalled edge and one flushed only at events,
-// and requires the same spans in the same order and the same counts.  Core
+// ledgers, one flushed at every stalled edge and one flushed only at bus
+// events, and requires the same spans in the same order and the same counts.  Core
 // 0's arbitration span ends at cycle 6 but, flushed only at events, is found
 // only at its completion at cycle 9; core 1's first span ends at cycle 4 and
 // is found at cycle 10, after two of core 0's later closes.  With room for
 // three spans, that late find displaces core 0's refill span.
 func TestSpansIndependentOfFlushCadence(t *testing.T) {
-	access := func(l *Ledger, core int) { l.StallAccess(core) }
-	lock := func(l *Ledger, core int) { l.StallLock(core) }
 	episodes := []stallEpisode{
-		{core: 0, div: 1, class: access, stallAt: 0, unstallAt: 9, endAt: 10},
-		{core: 0, div: 1, class: lock, stallAt: 12},
-		{core: 1, div: 2, class: access, stallAt: 0, unstallAt: 14, endAt: 16},
+		{core: 0, div: 1, class: ClassAccess, stallAt: 0, unstallAt: 9},
+		{core: 0, div: 1, class: ClassLock, stallAt: 12},
+		{core: 1, div: 2, class: ClassAccess, stallAt: 0, unstallAt: 14},
 	}
 	rec := func(kind event.Kind, core int) event.Record {
 		return event.Record{Kind: kind, Core: core, BusKind: uint8(bus.ReadLine)}
