@@ -58,7 +58,7 @@ func main() {
 		comparePath  = flag.String("compare", "", "baseline run report (JSON, any schema version) to explain this run's cycle delta against")
 		observeDir   = flag.String("observe", "", "write every observability artifact (report, events, audit, stall profile, chrome trace, spans, sharing) into this directory; equivalent to setting -report/-events/-audit/-profile/-chrometrace/-spans/-sharing together (explicit flags win)")
 		metricsWin   = flag.Uint64("metricswindow", 0, "time-series sampling window in engine cycles (0 = default)")
-		schedFlag    = flag.String("scheduler", platform.SchedulerEvent, "engine scheduling strategy: event (skips idle cycles) or tick (reference semantics; -vcd forces tick)")
+		schedFlag    = flag.String("scheduler", platform.SchedulerEvent, "engine scheduling strategy: event (skips idle cycles) or tick (reference semantics)")
 		maxCycles    = flag.Uint64("maxcycles", 50_000_000, "cycle budget")
 	)
 	flag.Var(&progFlags, "prog", "assembly program for one core, as core=path (repeatable; see isa.Assemble for the syntax; cores without one halt immediately)")

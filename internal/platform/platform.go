@@ -349,8 +349,7 @@ type Config struct {
 	// jumps from one actionable cycle edge to the next, "tick" evaluates
 	// every component on every one of its clock edges.  Both produce
 	// byte-identical reports and digests (DESIGN.md §8); "tick" exists as
-	// the reference semantics and equivalence baseline.  A VCD probe forces
-	// "tick" — the waveform needs per-cycle state.
+	// the reference semantics and equivalence baseline.
 	Scheduler string
 }
 

@@ -612,6 +612,63 @@ func TestVCDDumpStructure(t *testing.T) {
 	}
 }
 
+// TestVCDSchedulerEquivalence: the waveform probe runs under either
+// scheduler, and the event scheduler must write the tick scheduler's dump
+// byte for byte: on TestVCDDumpStructure's PF2 run, on PF2 TCS over the
+// pipelined bus, and on the kitchen-sink platform with its DMA engine.
+func TestVCDSchedulerEquivalence(t *testing.T) {
+	pf2 := Config{
+		Processors: PPCARm(),
+		Solution:   Proposed,
+		Lock:       LockChoice{Kind: LockUncachedTAS, Alternate: true, SpinDelay: 4},
+	}
+	pipelined := pf2
+	pipelined.PipelinedBus = true
+	runs := []struct {
+		name     string
+		cfg      Config
+		scenario workload.Scenario
+		params   workload.Params
+	}{
+		{"pf2/WCS", pf2, workload.WCS, workload.Params{Lines: 2, ExecTime: 1, Iterations: 2}},
+		{"pf2/TCS/pipelined", pipelined, workload.TCS, workload.Params{Lines: 8, ExecTime: 1, Iterations: 4}},
+		{"kitchen-sink", kitchenSinkConfig(), workload.WCS, kitchenSinkParams},
+	}
+	for _, r := range runs {
+		var dumps [2]string
+		for i, sched := range []string{SchedulerEvent, SchedulerTick} {
+			var sb strings.Builder
+			cfg := r.cfg
+			cfg.VCD = &sb
+			cfg.Scheduler = sched
+			p, err := Build(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p.Engine.EventScheduler() != (sched == SchedulerEvent) {
+				t.Fatalf("%s: %s run built with the other scheduler", r.name, sched)
+			}
+			progs, err := workload.Programs(r.scenario, r.params, Proposed, len(cfg.Processors))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := p.LoadPrograms(progs); err != nil {
+				t.Fatal(err)
+			}
+			if res := p.Run(30_000_000); res.Err != nil {
+				t.Fatalf("%s %s: err=%v reason=%s", r.name, sched, res.Err, res.StopReason)
+			}
+			if err := p.VCDErr(); err != nil {
+				t.Fatalf("%s %s: %v", r.name, sched, err)
+			}
+			dumps[i] = sb.String()
+		}
+		if dumps[0] != dumps[1] {
+			t.Errorf("%s: the event scheduler's dump (%d bytes) differs from the tick scheduler's (%d bytes)", r.name, len(dumps[0]), len(dumps[1]))
+		}
+	}
+}
+
 // failAfter accepts n bytes, then fails every write.
 type failAfter struct{ n int }
 
@@ -949,16 +1006,15 @@ func TestPetersonLockOnPlatform(t *testing.T) {
 	}
 }
 
-// TestKitchenSinkCompose drives every optional feature at once: pipelined
-// bus, DMA engine, wrapper latency, write-through i486, multi-lock,
-// race-checked golden model, VCD dump.  Features must compose.
-func TestKitchenSinkCompose(t *testing.T) {
-	var wave strings.Builder
+// kitchenSinkConfig is the every-feature platform: pipelined bus, DMA
+// engine, wrapper latency, write-through i486, two locks and the
+// race-checked golden model.
+func kitchenSinkConfig() Config {
 	specs := []ProcessorSpec{PowerPC755(), Intel486WT(), ARM920T()}
 	for i := range specs {
 		specs[i].WrapperLatency = 1
 	}
-	p, err := Build(Config{
+	return Config{
 		Processors:   specs,
 		Solution:     Proposed,
 		Lock:         LockChoice{Kind: LockUncachedTAS, Alternate: true, SpinDelay: 4, Count: 2},
@@ -966,13 +1022,25 @@ func TestKitchenSinkCompose(t *testing.T) {
 		RaceCheck:    true,
 		PipelinedBus: true,
 		DMA:          true,
-		VCD:          &wave,
-		TraceCap:     64,
-	})
+	}
+}
+
+// kitchenSinkParams is the WCS workload the kitchen-sink tests run.
+var kitchenSinkParams = workload.Params{Lines: 4, ExecTime: 2, Iterations: 3}
+
+// TestKitchenSinkCompose drives every optional feature at once
+// (kitchenSinkConfig plus a VCD dump and the trace).  Features must
+// compose.
+func TestKitchenSinkCompose(t *testing.T) {
+	var wave strings.Builder
+	cfg := kitchenSinkConfig()
+	cfg.VCD = &wave
+	cfg.TraceCap = 64
+	p, err := Build(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	progs, err := workload.Programs(workload.WCS, workload.Params{Lines: 4, ExecTime: 2, Iterations: 3}, Proposed, 3)
+	progs, err := workload.Programs(workload.WCS, kitchenSinkParams, Proposed, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
