@@ -132,6 +132,25 @@ func DefaultProcessors() []platform.ProcessorSpec { return platform.PPCARm() }
 // Build assembles the platform and programs for cfg without running it
 // (examples use this for custom instrumentation).
 func Build(cfg Config) (*platform.Platform, error) {
+	pc := cfg.platformConfig()
+	p, err := platform.Build(pc)
+	if err != nil {
+		return nil, err
+	}
+	progs, err := workload.Programs(cfg.Scenario, cfg.Params, cfg.Solution, len(pc.Processors))
+	if err != nil {
+		return nil, err
+	}
+	if err := p.LoadPrograms(progs); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// platformConfig is the platform cfg describes: the paper's PF2 processors
+// and an uncached test-and-set lock (alternating as the scenario asks)
+// where cfg names none, and every other setting as given.
+func (cfg Config) platformConfig() platform.Config {
 	procs := cfg.Processors
 	if len(procs) == 0 {
 		procs = DefaultProcessors()
@@ -144,7 +163,7 @@ func Build(cfg Config) (*platform.Platform, error) {
 	if cfg.Lock != nil {
 		lockChoice = *cfg.Lock
 	}
-	p, err := platform.Build(platform.Config{
+	return platform.Config{
 		Processors:      procs,
 		Solution:        cfg.Solution,
 		Timing:          cfg.Timing,
@@ -163,18 +182,7 @@ func Build(cfg Config) (*platform.Platform, error) {
 		Spans:           cfg.Spans,
 		Sharing:         cfg.Sharing,
 		Scheduler:       cfg.Scheduler,
-	})
-	if err != nil {
-		return nil, err
 	}
-	progs, err := workload.Programs(cfg.Scenario, cfg.Params, cfg.Solution, len(procs))
-	if err != nil {
-		return nil, err
-	}
-	if err := p.LoadPrograms(progs); err != nil {
-		return nil, err
-	}
-	return p, nil
 }
 
 // Run builds and simulates cfg to completion.  A failed waveform dump

@@ -104,36 +104,34 @@ func offMatrixSpecs() []hetcc.BatchSpec {
 
 // runKitchenSink runs platform_test.go's every-feature platform (pipelined
 // bus, DMA engine, wrapper latency, write-through i486, two locks, race
-// checker) without its waveform probe, which would force the tick scheduler.
-// Auditing, profiling and spans are on; on, when not nil, switches further
-// observers on.
+// checker).  Auditing, profiling and spans are on; on, when not nil,
+// switches further observers on.  The platform comes from
+// hetcc.PlatformConfig, so each observer maps as hetcc.Build maps it; only
+// the DMA engine, which hetcc.Config does not offer, is set here.
 func runKitchenSink(t *testing.T, scheduler string, on func(*hetcc.Config)) (uint64, platform.Report) {
 	t.Helper()
-	obs := hetcc.Config{Audit: true, Profile: true, Spans: true}
-	if on != nil {
-		on(&obs)
-	}
 	specs := []platform.ProcessorSpec{platform.PowerPC755(), platform.Intel486WT(), platform.ARM920T()}
 	for i := range specs {
 		specs[i].WrapperLatency = 1
 	}
-	p, err := platform.Build(platform.Config{
+	cfg := hetcc.Config{
 		Processors:   specs,
 		Solution:     platform.Proposed,
-		Lock:         platform.LockChoice{Kind: platform.LockUncachedTAS, Alternate: true, SpinDelay: 4, Count: 2},
+		Lock:         &platform.LockChoice{Kind: platform.LockUncachedTAS, Alternate: true, SpinDelay: 4, Count: 2},
 		Verify:       true,
 		RaceCheck:    true,
 		PipelinedBus: true,
-		DMA:          true,
-		TraceCap:     obs.TraceCap,
-		Metrics:      obs.Metrics,
-		Audit:        obs.Audit,
-		EventLog:     obs.EventLog,
-		Profile:      obs.Profile,
-		Spans:        obs.Spans,
-		Sharing:      obs.Sharing,
+		Audit:        true,
+		Profile:      true,
+		Spans:        true,
 		Scheduler:    scheduler,
-	})
+	}
+	if on != nil {
+		on(&cfg)
+	}
+	pc := hetcc.PlatformConfig(cfg)
+	pc.DMA = true
+	p, err := platform.Build(pc)
 	if err != nil {
 		t.Fatal(err)
 	}
