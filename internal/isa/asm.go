@@ -30,9 +30,13 @@ import (
 // so `st 0x10000000+@*4, @` strides across words.  Simple +, * arithmetic
 // (left to right, no precedence, no parentheses) is supported in operands.
 // Comments run from ';' or '#' to end of line.  Blank lines are ignored.
+// Each .repeat count is at most 2^20, and the whole expansion at most 2^22
+// ops plus .repeat iterations, so nested blocks cannot multiply into an
+// unbounded program or loop.
 func Assemble(src string) (Program, error) {
 	lines := strings.Split(src, "\n")
-	prog, rest, err := assembleBlock(lines, 0, -1)
+	steps := 0
+	prog, rest, err := assembleBlock(lines, 0, -1, &steps)
 	if err != nil {
 		return nil, err
 	}
@@ -48,13 +52,21 @@ func Assemble(src string) (Program, error) {
 	return prog, nil
 }
 
+// maxAssembleSteps bounds Assemble's work: every op emitted and every .repeat
+// iteration, skipped bodies included, is one step.
+const maxAssembleSteps = 1 << 22
+
 // assembleBlock assembles lines[start:] until a matching ".end" (or EOF for
 // the top level), expanding nested .repeat blocks with iteration index it.
-// It returns the ops and the index of the line after the block.
-func assembleBlock(lines []string, start, it int) (Program, int, error) {
+// It returns the ops and the index of the line after the block.  *steps
+// counts the work done so far against maxAssembleSteps.
+func assembleBlock(lines []string, start, it int, steps *int) (Program, int, error) {
 	var out Program
 	i := start
 	for i < len(lines) {
+		if *steps > maxAssembleSteps {
+			return nil, 0, fmt.Errorf("isa: line %d: program expands beyond %d ops and .repeat iterations", i+1, maxAssembleSteps)
+		}
 		raw := lines[i]
 		stmt := stripComment(raw)
 		if stmt == "" {
@@ -79,7 +91,8 @@ func assembleBlock(lines []string, start, it int) (Program, int, error) {
 			}
 			var end int
 			for k := int64(0); k < n; k++ {
-				body, e, err := assembleBlock(lines, i+1, int(k))
+				*steps++
+				body, e, err := assembleBlock(lines, i+1, int(k), steps)
 				if err != nil {
 					return nil, 0, err
 				}
@@ -91,11 +104,10 @@ func assembleBlock(lines []string, start, it int) (Program, int, error) {
 			}
 			if n == 0 {
 				// Still need to locate the matching .end to skip the body.
-				body, e, err := assembleBlock(lines, i+1, 0)
+				_, e, err := assembleBlock(lines, i+1, 0, steps)
 				if err != nil {
 					return nil, 0, err
 				}
-				_ = body
 				if e >= len(lines) {
 					return nil, 0, fmt.Errorf("isa: line %d: .repeat without .end", i+1)
 				}
@@ -108,6 +120,7 @@ func assembleBlock(lines []string, start, it int) (Program, int, error) {
 				return nil, 0, fmt.Errorf("isa: line %d: %v", i+1, err)
 			}
 			out = append(out, op)
+			*steps++
 			i++
 		}
 	}
