@@ -36,11 +36,12 @@ vet:
 # Alloc-regression suite: AllocsPerRun pins of the zero-garbage hot path
 # (bus tick, ARTRY storm, snoop broadcast, event emit, metrics records,
 # event-scheduler wake structure, sharing collector, span collector, stall
-# ledger, lock steppers, the full text-trace ring in TestAllocsTrace).  Any
-# nonzero allocs/op in steady state fails.  TestAllocsBuild bounds the
-# set-up side: one hetcc.Build of a PF2 platform with its programs.
+# ledger, lock steppers, the full text-trace ring in TestAllocsTrace, the
+# invariant auditor's per-record checks).  Any nonzero allocs/op in steady
+# state fails.  TestAllocsBuild bounds the set-up side: one hetcc.Build of a
+# PF2 platform with its programs.
 allocs:
-	$(GO) test -run TestAllocs -v . ./internal/bus ./internal/event ./internal/metrics ./internal/lock ./internal/profile ./internal/span ./internal/sharing ./internal/sim ./internal/trace
+	$(GO) test -run TestAllocs -v . ./internal/bus ./internal/event ./internal/metrics ./internal/lock ./internal/profile ./internal/span ./internal/sharing ./internal/sim ./internal/trace ./internal/audit
 
 # Host-time benchmark (hostbench/, a module of its own, so `go test ./...`
 # does not reach it): its unit tests, then an untraced run of every workload

@@ -48,10 +48,10 @@ func genericPair(a, b coherence.Kind) []platform.ProcessorSpec {
 }
 
 // observedWithin checks every observed state name is Invalid or in allowed.
-func observedWithin(observed []string, allowed []coherence.State) bool {
+func observedWithin(observed []string, allowed coherence.StateSet) bool {
 	for _, name := range observed {
 		ok := name == coherence.Invalid.String()
-		for _, s := range allowed {
+		for _, s := range allowed.States() {
 			if name == s.String() {
 				ok = true
 				break

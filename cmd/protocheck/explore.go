@@ -206,20 +206,7 @@ func exploreOne(kinds []coherence.Kind, graphPath string, maxStates int) error {
 		}
 		fmt.Println()
 		for i, states := range res.Reachable {
-			var names, gone []string
-			for _, s := range states {
-				names = append(names, s.String())
-			}
-			for _, s := range coherence.New(protoOrMEI(kinds[i])).States() {
-				if res.Eliminated(i, s) {
-					gone = append(gone, s.String())
-				}
-			}
-			fmt.Printf("  P%d (%v) reachable: {%s}", i, kinds[i], strings.Join(names, ","))
-			if len(gone) > 0 {
-				fmt.Printf("   eliminated: {%s}", strings.Join(gone, ","))
-			}
-			fmt.Println()
+			printReachable(fmt.Sprintf("P%d (%v)", i, kinds[i]), kinds[i], states, "eliminated")
 		}
 		switch {
 		case len(res.Violations) == 0 && mode == explore.ModeWrapped:
@@ -243,13 +230,18 @@ func exploreOne(kinds []coherence.Kind, graphPath string, maxStates int) error {
 	return nil
 }
 
-// protoOrMEI maps the coherence-less marker to the MEI machine its private
-// cache behaves as, for the eliminated-state display.
-func protoOrMEI(k coherence.Kind) coherence.Kind {
+// printReachable prints one master's reachable states and, under label, the
+// states of its native protocol the exploration proved unreachable.  A
+// coherence-less master's private cache behaves as MEI.
+func printReachable(master string, k coherence.Kind, reachable coherence.StateSet, label string) {
 	if k == coherence.None {
-		return coherence.MEI
+		k = coherence.MEI
 	}
-	return k
+	fmt.Printf("  %s reachable: %v", master, reachable)
+	if gone := coherence.New(k).States() &^ reachable; gone != 0 {
+		fmt.Printf("   %s: %v", label, gone)
+	}
+	fmt.Println()
 }
 
 func printTrace(v explore.Violation) {

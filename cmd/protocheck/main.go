@@ -296,21 +296,7 @@ func check(kinds []coherence.Kind) error {
 	}
 	fmt.Printf("model check: %d abstract states explored\n", res.States)
 	for i, states := range res.Reachable {
-		var names []string
-		for _, s := range states {
-			names = append(names, s.String())
-		}
-		var eliminated []string
-		for _, s := range coherence.New(protoOrMEI(kinds[i])).States() {
-			if res.Eliminated(i, s) {
-				eliminated = append(eliminated, s.String())
-			}
-		}
-		fmt.Printf("  P%d reachable: {%s}", i, strings.Join(names, ","))
-		if len(eliminated) > 0 {
-			fmt.Printf("   eliminated by wrappers: {%s}", strings.Join(eliminated, ","))
-		}
-		fmt.Println()
+		printReachable(fmt.Sprintf("P%d", i), kinds[i], states, "eliminated by wrappers")
 	}
 	if len(res.Violations) == 0 {
 		fmt.Println("result: SOUND (no stale reads, no out-of-protocol states)")

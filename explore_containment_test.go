@@ -129,7 +129,7 @@ func TestExplorerContainsAuditedStates(t *testing.T) {
 						if !ok {
 							t.Fatalf("%s: core %d reported unknown state %q", specs[i].Label, core, name)
 						}
-						if !res.Contains(core, s) {
+						if !res.Reachable[core].Has(s) {
 							t.Errorf("%s: core %d observed state %v on the live simulator, but the %v explorer cannot reach it — the abstract model under-approximates the machine",
 								specs[i].Label, core, s, modeFor(metas[i].sol))
 						}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"hetcc/internal/coherence"
+	"hetcc/internal/core"
 	"hetcc/internal/event"
 )
 
@@ -38,7 +39,7 @@ func TestSWMRTwoWriters(t *testing.T) {
 	change(a, 1, 0, line0, coherence.Modified)
 	change(a, 2, 1, line0, coherence.Exclusive)
 	vs := a.Violations()
-	if len(vs) != 1 || vs[0].Check != CheckSWMR || vs[0].Cycle != 2 || vs[0].Addr != line0 {
+	if len(vs) != 1 || vs[0].Check != core.CheckSWMR || vs[0].Cycle != 2 || vs[0].Addr != line0 {
 		t.Fatalf("violations %v, want one swmr at cycle 2", vs)
 	}
 }
@@ -48,7 +49,7 @@ func TestSWMRWriterPlusReader(t *testing.T) {
 	change(a, 1, 0, line0, coherence.Shared)
 	change(a, 2, 1, line0, coherence.Exclusive)
 	vs := a.Violations()
-	if len(vs) != 1 || vs[0].Check != CheckSWMR {
+	if len(vs) != 1 || vs[0].Check != core.CheckSWMR {
 		t.Fatalf("violations %v, want one swmr (E coexisting with S)", vs)
 	}
 }
@@ -68,7 +69,7 @@ func TestDirtyOwnerMOESI(t *testing.T) {
 	}
 	found := false
 	for _, k := range kinds {
-		if k == CheckDirtyOwner {
+		if k == core.CheckDirtyOwner {
 			found = true
 		}
 	}
@@ -79,9 +80,9 @@ func TestDirtyOwnerMOESI(t *testing.T) {
 
 func TestIllegalStateAgainstReduction(t *testing.T) {
 	// Core 0 is restricted to the MEI reduction; core 1 is unrestricted.
-	a := New(Config{Cores: 2, Allowed: [][]coherence.State{
-		{coherence.Exclusive, coherence.Modified},
-		nil,
+	a := New(Config{Cores: 2, Allowed: []coherence.StateSet{
+		coherence.SetOf(coherence.Exclusive, coherence.Modified),
+		0,
 	}})
 	change(a, 1, 1, line0, coherence.Shared) // unrestricted core: fine
 	change(a, 2, 0, line1, coherence.Exclusive)
@@ -90,7 +91,7 @@ func TestIllegalStateAgainstReduction(t *testing.T) {
 	}
 	change(a, 3, 0, line1, coherence.Shared)
 	vs := a.Violations()
-	if len(vs) == 0 || vs[0].Check != CheckIllegalState || vs[0].Core != 0 {
+	if len(vs) == 0 || vs[0].Check != core.CheckIllegalState || vs[0].Core != 0 {
 		t.Fatalf("violations %v, want illegal-state on core 0", vs)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"hetcc/internal/coherence"
+	"hetcc/internal/core"
 	"hetcc/internal/event"
 )
 
@@ -19,9 +20,9 @@ import (
 func TestInjectedViolationClasses(t *testing.T) {
 	const line = uint32(0x2000_0000)
 	// meiAllowed mirrors the MEI reduction's post-wrapper legal set.
-	meiAllowed := [][]coherence.State{
-		{coherence.Exclusive, coherence.Modified},
-		{coherence.Exclusive, coherence.Modified},
+	meiAllowed := []coherence.StateSet{
+		coherence.SetOf(coherence.Exclusive, coherence.Modified),
+		coherence.SetOf(coherence.Exclusive, coherence.Modified),
 	}
 
 	type env struct {
@@ -30,7 +31,7 @@ func TestInjectedViolationClasses(t *testing.T) {
 	}
 	cases := []struct {
 		name   string
-		allow  [][]coherence.State
+		allow  []coherence.StateSet
 		script func(e env)
 		want   []string // exact sorted multiset of violation checks
 	}{
@@ -50,7 +51,7 @@ func TestInjectedViolationClasses(t *testing.T) {
 				e.sink.StateChange(0, line, coherence.Invalid, coherence.Modified)
 				e.sink.StateChange(1, line, coherence.Invalid, coherence.Exclusive)
 			},
-			want: []string{CheckSWMR},
+			want: []string{core.CheckSWMR},
 		},
 		{
 			name: "swmr-writer-with-reader",
@@ -58,7 +59,7 @@ func TestInjectedViolationClasses(t *testing.T) {
 				e.sink.StateChange(0, line, coherence.Invalid, coherence.Shared)
 				e.sink.StateChange(1, line, coherence.Invalid, coherence.Exclusive)
 			},
-			want: []string{CheckSWMR},
+			want: []string{core.CheckSWMR},
 		},
 		{
 			// Two Owned copies: neither is an E/M "writer", so SWMR stays
@@ -68,7 +69,7 @@ func TestInjectedViolationClasses(t *testing.T) {
 				e.sink.StateChange(0, line, coherence.Invalid, coherence.Owned)
 				e.sink.StateChange(1, line, coherence.Invalid, coherence.Owned)
 			},
-			want: []string{CheckDirtyOwner},
+			want: []string{core.CheckDirtyOwner},
 		},
 		{
 			// M+M breaches both invariants at once: two writable copies and
@@ -78,7 +79,7 @@ func TestInjectedViolationClasses(t *testing.T) {
 				e.sink.StateChange(0, line, coherence.Invalid, coherence.Modified)
 				e.sink.StateChange(1, line, coherence.Invalid, coherence.Modified)
 			},
-			want: []string{CheckDirtyOwner, CheckSWMR},
+			want: []string{core.CheckDirtyOwner, core.CheckSWMR},
 		},
 		{
 			// A single S copy is coherent by every sharing invariant, but
@@ -88,7 +89,7 @@ func TestInjectedViolationClasses(t *testing.T) {
 			script: func(e env) {
 				e.sink.StateChange(0, line, coherence.Invalid, coherence.Shared)
 			},
-			want: []string{CheckIllegalState},
+			want: []string{core.CheckIllegalState},
 		},
 	}
 

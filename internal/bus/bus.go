@@ -588,9 +588,6 @@ func (b *Bus) SubmitFlush(t *Transaction, done func(Result)) {
 	b.wakeSched()
 }
 
-// QueueLen reports the number of requests pending for master id.
-func (b *Bus) QueueLen(id int) int { return b.masters[id].queue.len() }
-
 // Idle reports whether the bus has no tenure in progress and no queued work.
 func (b *Bus) Idle() bool {
 	if b.busy {

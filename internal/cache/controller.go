@@ -182,9 +182,6 @@ func (ctl *Controller) isWriteThrough(addr uint32) bool {
 	return ctl.writeThrough != nil && ctl.writeThrough(addr)
 }
 
-// Outstanding reports whether a CPU request is in flight.
-func (ctl *Controller) Outstanding() bool { return ctl.busy }
-
 // Access performs a CPU load (write=false) or store (write=true) of the
 // word at addr.  On Done, readVal holds the loaded value (stores return 0).
 // On Pending, done(readVal) fires at retirement.  On Busy the caller must

@@ -10,7 +10,10 @@
 // supporting the MOESI protocol".
 package coherence
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // State is a cache-line coherence state.
 type State uint8
@@ -47,6 +50,50 @@ func (s State) Valid() bool { return s != Invalid }
 
 // Dirty reports whether the line holds data newer than memory.
 func (s State) Dirty() bool { return s == Modified || s == Owned }
+
+// StateSet is a set of states, one bit per State.  The zero value is the
+// empty set.
+type StateSet uint8
+
+// SetOf returns the set holding states.
+func SetOf(states ...State) StateSet {
+	var m StateSet
+	for _, s := range states {
+		m.Add(s)
+	}
+	return m
+}
+
+// Has reports whether s is in the set.
+func (m StateSet) Has(s State) bool { return m&(1<<s) != 0 }
+
+// Add puts s in the set.
+func (m *StateSet) Add(s State) { *m |= 1 << s }
+
+// States lists the members in protocol order (I < S < E < M < O).
+func (m StateSet) States() []State {
+	var out []State
+	for s := Invalid; s < 8; s++ {
+		if m.Has(s) {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+// String renders the set as {I,S,E}.
+func (m StateSet) String() string {
+	var b strings.Builder
+	b.WriteByte('{')
+	for i, s := range m.States() {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(s.String())
+	}
+	b.WriteByte('}')
+	return b.String()
+}
 
 // Kind identifies a coherence protocol.
 type Kind uint8
@@ -146,7 +193,7 @@ type writeHitEntry struct {
 // built once from those maps, so the per-access lookups never hash.
 type Protocol struct {
 	kind     Kind
-	states   []State
+	states   StateSet
 	fillRead func(shared bool) State
 	writeHit map[State]writeHitEntry
 	snoop    map[State]map[BusOp]SnoopOutcome
@@ -209,21 +256,10 @@ func New(k Kind) *Protocol {
 func (p *Protocol) Kind() Kind { return p.kind }
 
 // States returns the states the protocol can use, including Invalid.
-func (p *Protocol) States() []State {
-	out := make([]State, len(p.states))
-	copy(out, p.states)
-	return out
-}
+func (p *Protocol) States() StateSet { return p.states }
 
 // Has reports whether s is a state of this protocol.
-func (p *Protocol) Has(s State) bool {
-	for _, st := range p.states {
-		if st == s {
-			return true
-		}
-	}
-	return false
-}
+func (p *Protocol) Has(s State) bool { return p.states.Has(s) }
 
 // CacheToCache reports whether the protocol supplies data cache-to-cache.
 func (p *Protocol) CacheToCache() bool { return p.kind == MOESI || p.kind == Dragon }
@@ -237,12 +273,6 @@ func (p *Protocol) FillStateAfterRead(shared bool) State {
 // FillStateAfterWrite returns the state after a write-miss fill (always
 // Modified in every invalidation protocol).
 func (p *Protocol) FillStateAfterWrite() State { return Modified }
-
-// ReadMissOp returns the bus operation issued on a read miss.
-func (p *Protocol) ReadMissOp() BusOp { return BusRd }
-
-// WriteMissOp returns the bus operation issued on a write miss.
-func (p *Protocol) WriteMissOp() BusOp { return BusRdX }
 
 // OnReadHit returns the state after a processor read hit (always unchanged
 // in invalidation protocols).
@@ -280,7 +310,7 @@ func (p *Protocol) OnSnoop(s State, op BusOp) (SnoopOutcome, error) {
 
 var meiProtocol = withDense(&Protocol{
 	kind:   MEI,
-	states: []State{Invalid, Exclusive, Modified},
+	states: SetOf(Invalid, Exclusive, Modified),
 	// MEI has no Shared state: a read miss always allocates Exclusive and
 	// the shared signal is ignored (the PowerPC755 has no SHD input).
 	fillRead: func(bool) State { return Exclusive },
@@ -305,7 +335,7 @@ var meiProtocol = withDense(&Protocol{
 
 var msiProtocol = withDense(&Protocol{
 	kind:   MSI,
-	states: []State{Invalid, Shared, Modified},
+	states: SetOf(Invalid, Shared, Modified),
 	// MSI has no Exclusive state: a read miss always allocates Shared.
 	fillRead: func(bool) State { return Shared },
 	writeHit: map[State]writeHitEntry{
@@ -328,7 +358,7 @@ var msiProtocol = withDense(&Protocol{
 
 var mesiProtocol = withDense(&Protocol{
 	kind:   MESI,
-	states: []State{Invalid, Shared, Exclusive, Modified},
+	states: SetOf(Invalid, Shared, Exclusive, Modified),
 	fillRead: func(shared bool) State {
 		if shared {
 			return Shared
@@ -361,7 +391,7 @@ var mesiProtocol = withDense(&Protocol{
 
 var moesiProtocol = withDense(&Protocol{
 	kind:   MOESI,
-	states: []State{Invalid, Shared, Exclusive, Modified, Owned},
+	states: SetOf(Invalid, Shared, Exclusive, Modified, Owned),
 	fillRead: func(shared bool) State {
 		if shared {
 			return Shared

@@ -39,6 +39,26 @@ func TestStatePredicates(t *testing.T) {
 	}
 }
 
+// TestStateSet pins the set's membership, protocol order and rendering.
+func TestStateSet(t *testing.T) {
+	var m StateSet
+	if m.Has(Invalid) || m.String() != "{}" {
+		t.Fatalf("zero set = %v", m)
+	}
+	m.Add(Owned)
+	m.Add(Shared)
+	m.Add(Invalid)
+	if !m.Has(Shared) || m.Has(Exclusive) {
+		t.Fatalf("membership wrong in %v", m)
+	}
+	if m != SetOf(Owned, Invalid, Shared) || m.String() != "{I,S,O}" {
+		t.Fatalf("set = %v, want {I,S,O}", m)
+	}
+	if got := SetOf(Modified, Exclusive).States(); len(got) != 2 || got[0] != Exclusive || got[1] != Modified {
+		t.Fatalf("States() = %v, want [E M]", got)
+	}
+}
+
 func TestProtocolStateSets(t *testing.T) {
 	want := map[Kind][]State{
 		MEI:   {Invalid, Exclusive, Modified},
@@ -48,7 +68,7 @@ func TestProtocolStateSets(t *testing.T) {
 	}
 	for k, states := range want {
 		p := New(k)
-		if got := p.States(); len(got) != len(states) {
+		if got := p.States().States(); len(got) != len(states) {
 			t.Errorf("%v has %d states, want %d", k, len(got), len(states))
 		}
 		for _, s := range states {
@@ -262,7 +282,7 @@ func TestSnoopClosure(t *testing.T) {
 	f := func(kRaw, sRaw, opRaw uint8) bool {
 		k := all()[int(kRaw)%4]
 		p := New(k)
-		states := p.States()
+		states := p.States().States()
 		s := states[int(sRaw)%len(states)]
 		op := []BusOp{BusRd, BusRdX, BusUpgr}[int(opRaw)%3]
 		out, err := p.OnSnoop(s, op)
@@ -290,7 +310,7 @@ func TestSnoopClosure(t *testing.T) {
 func TestReadHitNeverChangesState(t *testing.T) {
 	for _, k := range all() {
 		p := New(k)
-		for _, s := range p.States() {
+		for _, s := range p.States().States() {
 			if s == Invalid {
 				if _, err := p.OnReadHit(s); err == nil {
 					t.Errorf("%v read hit in I did not error", k)
@@ -339,7 +359,7 @@ func TestTransitionsCoverProtocol(t *testing.T) {
 			}
 		}
 		// Every protocol state appears on some edge.
-		for _, s := range p.States() {
+		for _, s := range p.States().States() {
 			if !states[s] {
 				t.Errorf("%v: state %v unreachable in the diagram", k, s)
 			}

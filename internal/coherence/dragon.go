@@ -50,7 +50,7 @@ func (p *Protocol) UpdateBased() bool { return p.kind.UpdateBased() }
 
 var dragonProtocol = withDense(&Protocol{
 	kind:   Dragon,
-	states: []State{Invalid, Shared, Exclusive, Modified, Owned},
+	states: SetOf(Invalid, Shared, Exclusive, Modified, Owned),
 	fillRead: func(shared bool) State {
 		if shared {
 			return Shared // Sc

@@ -94,7 +94,7 @@ func (p *Protocol) Transitions() []Transition {
 // documentation ("dot -Tsvg").
 func (p *Protocol) Dot() string {
 	out := fmt.Sprintf("digraph %s {\n  rankdir=LR;\n  node [shape=circle];\n", p.kind)
-	for _, s := range p.states {
+	for _, s := range p.states.States() {
 		out += fmt.Sprintf("  %s;\n", s)
 	}
 	for _, t := range p.Transitions() {

@@ -3,7 +3,9 @@
 // shared bus (Section 2 of the paper), expressed as per-processor wrapper
 // policies, plus the platform classification of the paper's Table 1.  The
 // exhaustive reachability explorer of internal/explore proves that the
-// reduction eliminates the intended states.
+// reduction eliminates the intended states.  The invariants that explorer
+// and the online auditor of internal/audit both check — the allowed state
+// sets, single writer and single dirty owner — are defined here, once.
 //
 // Protocol reduction summary (paper Sections 2.1–2.3):
 //
@@ -327,28 +329,64 @@ func Reduce(protocols []coherence.Kind) (Integration, error) {
 // *name* S for lines that behave as E ("despite the name, the S state is
 // equivalent to the E state"): for an MSI processor in an MEI mix the
 // allowed set is therefore {I, S, M}.
-func AllowedStates(native, effective coherence.Kind) []coherence.State {
+func AllowedStates(native, effective coherence.Kind) coherence.StateSet {
 	if native == coherence.None {
-		return []coherence.State{coherence.Invalid, coherence.Exclusive, coherence.Modified}
+		return coherence.SetOf(coherence.Invalid, coherence.Exclusive, coherence.Modified)
 	}
 	nat := coherence.New(native).States()
 	if native == effective {
 		return nat
 	}
-	eff := coherence.New(effective).States()
 	if native == MSIKind && effective == MEIKind {
 		// MSI cannot allocate E; its I→S self-transition survives but the
 		// line is exclusive in practice.
-		return []coherence.State{coherence.Invalid, coherence.Shared, coherence.Modified}
+		return coherence.SetOf(coherence.Invalid, coherence.Shared, coherence.Modified)
 	}
-	var out []coherence.State
-	for _, s := range nat {
-		for _, t := range eff {
-			if s == t {
-				out = append(out, s)
-				break
-			}
+	return nat & coherence.New(effective).States()
+}
+
+// Check names of the invariants that both verifiers enforce: the online
+// auditor (internal/audit) on live runs and the exhaustive explorer
+// (internal/explore) on the abstract model, so their violations correlate.
+const (
+	CheckSWMR         = "swmr"
+	CheckDirtyOwner   = "dirty-owner"
+	CheckStaleRead    = "stale-read"
+	CheckIllegalState = "illegal-state"
+)
+
+// Copies is the copy census of one line across the masters: how many hold
+// a valid, a writable (E/M) and a dirty (M/O) copy, and the index of the
+// last writable and the last dirty holder (-1 when there is none).
+type Copies struct {
+	Valid, Writable, Dirty int
+	Writer, Owner          int
+}
+
+// CountCopies takes the census of one line's per-master state vector.
+func CountCopies(states []coherence.State) Copies {
+	c := Copies{Writer: -1, Owner: -1}
+	for i, st := range states {
+		if st == coherence.Invalid {
+			continue
+		}
+		c.Valid++
+		if st == coherence.Exclusive || st == coherence.Modified {
+			c.Writable++
+			c.Writer = i
+		}
+		if st.Dirty() {
+			c.Dirty++
+			c.Owner = i
 		}
 	}
-	return out
+	return c
 }
+
+// SWMR reports the single-writer/multiple-reader invariant: a writable copy
+// is the line's only valid copy.
+func (c Copies) SWMR() bool { return c.Writable == 0 || (c.Writable == 1 && c.Valid == 1) }
+
+// SingleOwner reports the single-dirty-owner invariant: at most one copy is
+// newer than memory.
+func (c Copies) SingleOwner() bool { return c.Dirty <= 1 }

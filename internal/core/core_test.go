@@ -209,25 +209,43 @@ func TestPolicyHelpers(t *testing.T) {
 func TestAllowedStates(t *testing.T) {
 	// MSI in an MEI mix keeps its (exclusive-behaving) S state.
 	got := AllowedStates(coherence.MSI, coherence.MEI)
-	want := map[coherence.State]bool{coherence.Invalid: true, coherence.Shared: true, coherence.Modified: true}
-	if len(got) != len(want) {
-		t.Fatalf("AllowedStates(MSI, MEI) = %v", got)
-	}
-	for _, s := range got {
-		if !want[s] {
-			t.Fatalf("AllowedStates(MSI, MEI) includes %v", s)
-		}
+	if want := coherence.SetOf(coherence.Invalid, coherence.Shared, coherence.Modified); got != want {
+		t.Fatalf("AllowedStates(MSI, MEI) = %v, want %v", got, want)
 	}
 	// MESI in an MEI mix loses S.
-	for _, s := range AllowedStates(coherence.MESI, coherence.MEI) {
-		if s == coherence.Shared {
-			t.Error("MESI in MEI mix still allows S")
-		}
+	if AllowedStates(coherence.MESI, coherence.MEI).Has(coherence.Shared) {
+		t.Error("MESI in MEI mix still allows S")
 	}
 	// MOESI in an MSI mix loses E and O.
-	for _, s := range AllowedStates(coherence.MOESI, coherence.MSI) {
-		if s == coherence.Exclusive || s == coherence.Owned {
+	for _, s := range []coherence.State{coherence.Exclusive, coherence.Owned} {
+		if AllowedStates(coherence.MOESI, coherence.MSI).Has(s) {
 			t.Errorf("MOESI in MSI mix still allows %v", s)
+		}
+	}
+}
+
+// TestCountCopies pins the copy census and its two verdicts on the line
+// vectors the auditor and the explorer report.
+func TestCountCopies(t *testing.T) {
+	I, S, E, M, O := coherence.Invalid, coherence.Shared, coherence.Exclusive, coherence.Modified, coherence.Owned
+	cases := []struct {
+		states      []coherence.State
+		want        Copies
+		swmr, owner bool
+	}{
+		{[]coherence.State{I, I}, Copies{Writer: -1, Owner: -1}, true, true},
+		{[]coherence.State{S, I, S}, Copies{Valid: 2, Writer: -1, Owner: -1}, true, true},
+		{[]coherence.State{I, M}, Copies{Valid: 1, Writable: 1, Dirty: 1, Writer: 1, Owner: 1}, true, true},
+		{[]coherence.State{E, S}, Copies{Valid: 2, Writable: 1, Writer: 0, Owner: -1}, false, true},
+		{[]coherence.State{E, E}, Copies{Valid: 2, Writable: 2, Writer: 1, Owner: -1}, false, true},
+		{[]coherence.State{O, S}, Copies{Valid: 2, Dirty: 1, Writer: -1, Owner: 0}, true, true},
+		{[]coherence.State{O, M}, Copies{Valid: 2, Writable: 1, Dirty: 2, Writer: 1, Owner: 1}, false, false},
+	}
+	for _, c := range cases {
+		got := CountCopies(c.states)
+		if got != c.want || got.SWMR() != c.swmr || got.SingleOwner() != c.owner {
+			t.Errorf("CountCopies(%v) = %+v swmr %v owner %v, want %+v swmr %v owner %v",
+				c.states, got, got.SWMR(), got.SingleOwner(), c.want, c.swmr, c.owner)
 		}
 	}
 }
@@ -238,9 +256,9 @@ func TestAllowedStates(t *testing.T) {
 func TestAllowedStatesUnreduced(t *testing.T) {
 	cases := []struct {
 		native, effective coherence.Kind
-		want              []coherence.State
+		want              coherence.StateSet
 	}{
-		{coherence.None, coherence.MESI, []coherence.State{coherence.Invalid, coherence.Exclusive, coherence.Modified}},
+		{coherence.None, coherence.MESI, coherence.SetOf(coherence.Invalid, coherence.Exclusive, coherence.Modified)},
 		{coherence.MOESI, coherence.MOESI, coherence.New(coherence.MOESI).States()},
 		{coherence.Dragon, coherence.Dragon, coherence.New(coherence.Dragon).States()},
 	}

@@ -35,7 +35,7 @@ func TestVerifyHomogeneousProtocolsAreCoherent(t *testing.T) {
 		}
 	}
 	// Homogeneous MOESI keeps cache-to-cache supply, so O is reachable.
-	if res := explored(t, explore.ModeWrapped, coherence.MOESI, coherence.MOESI); !res.Contains(0, coherence.Owned) {
+	if res := explored(t, explore.ModeWrapped, coherence.MOESI, coherence.MOESI); !res.Reachable[0].Has(coherence.Owned) {
 		t.Error("homogeneous MOESI never reached O")
 	}
 }
@@ -49,7 +49,7 @@ func TestVerifyTable2Defect(t *testing.T) {
 	}
 	found := false
 	for _, v := range res.Violations {
-		if v.Check == explore.CheckStaleRead && v.Master == 0 {
+		if v.Check == core.CheckStaleRead && v.Master == 0 {
 			found = true
 		}
 	}
@@ -90,7 +90,7 @@ func TestVerifyStateElimination(t *testing.T) {
 	check := func(protos []coherence.Kind, proc int, state coherence.State) {
 		t.Helper()
 		res := explored(t, explore.ModeWrapped, protos...)
-		if !res.Eliminated(proc, state) {
+		if res.Reachable[proc].Has(state) {
 			t.Errorf("%v: P%d still reaches %v (reachable %v)", protos, proc, state, res.Reachable[proc])
 		}
 	}
@@ -113,7 +113,7 @@ func TestVerifyMESIPlusMOESIKeepsSharing(t *testing.T) {
 	if res.Effective != coherence.MESI {
 		t.Errorf("effective %v, want MESI", res.Effective)
 	}
-	if !res.Contains(0, coherence.Shared) {
+	if !res.Reachable[0].Has(coherence.Shared) {
 		t.Errorf("MESI processor never reached S; integration over-reduced to MEI (reachable %v)", res.Reachable[0])
 	}
 }
@@ -185,12 +185,12 @@ func TestVerifyHomogeneousDragon(t *testing.T) {
 	if len(res.Violations) != 0 {
 		t.Fatalf("dragon violations: %v", res.Violations[0])
 	}
-	if !res.Contains(0, coherence.Owned) {
+	if !res.Reachable[0].Has(coherence.Owned) {
 		t.Fatal("Sm never reached")
 	}
 	// Crucially, both processors can hold the line simultaneously with one
 	// of them dirty — the update-based signature.
-	if !res.Contains(0, coherence.Shared) {
+	if !res.Reachable[0].Has(coherence.Shared) {
 		t.Fatal("Sc never reached")
 	}
 }

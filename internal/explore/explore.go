@@ -4,18 +4,19 @@
 // behind its wrapper or TAG-CAM snoop logic), one cache line with symbolic
 // data, and a nondeterministic action alphabet — local read, local write,
 // eviction / software cache-op — expressed as guarded actions that mirror
-// the transition rules of internal/coherence, internal/core and
-// internal/snooplogic (the latter via its exported Table).
+// the transition rules of internal/coherence, internal/core and the TAG-CAM
+// snoop logic (whose snooplogic.Table rules the explorer's tests check the
+// model against).
 //
 // Every state generated during the search is checked against the same
 // invariants the online auditor of internal/audit enforces on live runs —
-// SWMR, single dirty owner, the data-value invariant (via per-copy freshness
-// bits), and reduction-table membership (core.AllowedStates) — plus the
-// TAG-CAM mirror property (the CAM is a superset of the shadowed cache's
-// residency).  Because the action alphabet is closed under interleaving and
-// the line state space is finite, a clean sweep is a proof over all
-// reachable states of the protocol product FSMs, not a test of the states a
-// particular workload happens to visit.
+// SWMR and single dirty owner (both defined once, by core.CountCopies), the
+// data-value invariant (via per-copy freshness bits), and reduction-table
+// membership (core.AllowedStates) — plus the TAG-CAM mirror property (the
+// CAM is a superset of the shadowed cache's residency).  Because the action
+// alphabet is closed under interleaving and the line state space is finite,
+// a clean sweep is a proof over all reachable states of the protocol product
+// FSMs, not a test of the states a particular workload happens to visit.
 //
 // The model deliberately abstracts the cycle-accurate kernel: one line, no
 // timing, atomic bus transactions (a snoop hit's ARTRY → nFIQ → ISR drain →
@@ -29,27 +30,21 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
-	"hetcc/internal/audit"
 	"hetcc/internal/coherence"
 	"hetcc/internal/core"
 )
 
-// Check names used in Violation.Check.  The first four are shared with the
-// online auditor so violations correlate across the two verifiers; the rest
-// are model-only refinements (the auditor sees a stale read only at the read,
-// the model also flags the stale fill/write that caused it) plus the TAG-CAM
-// mirror property the auditor cannot observe.
+// Model-only check names used in Violation.Check beside the core.Check*
+// names the explorer shares with the online auditor: refinements the
+// auditor cannot make (it sees a stale read only at the read, the model also
+// flags the stale fill/write that caused it) and the TAG-CAM mirror
+// property.
 const (
-	CheckSWMR         = audit.CheckSWMR
-	CheckDirtyOwner   = audit.CheckDirtyOwner
-	CheckStaleRead    = audit.CheckStaleRead
-	CheckIllegalState = audit.CheckIllegalState
-	CheckStaleFill    = "stale-fill"
-	CheckStaleWrite   = "stale-write"
-	CheckCAMMirror    = "cam-mirror"
+	CheckStaleFill  = "stale-fill"
+	CheckStaleWrite = "stale-write"
+	CheckCAMMirror  = "cam-mirror"
 )
 
 // Mode selects which coherence hardware the model includes, matching the
@@ -153,25 +148,10 @@ type Result struct {
 	Complete     bool
 	// Violations lists every distinct (check, master, state) breach.
 	Violations []Violation
-	// Reachable[i] is master i's observed state set, sorted I<S<E<M<O —
-	// directly comparable with the auditor's Summary.Reachable.
-	Reachable [][]coherence.State
-}
-
-// Contains reports whether master i was seen holding state s.
-func (r *Result) Contains(i int, s coherence.State) bool {
-	for _, st := range r.Reachable[i] {
-		if st == s {
-			return true
-		}
-	}
-	return false
-}
-
-// Eliminated reports whether state s of master i's native protocol was
-// proven unreachable (the wrapper did its job).
-func (r *Result) Eliminated(i int, s coherence.State) bool {
-	return !r.Contains(i, s)
+	// Reachable[i] is master i's reachable state set — directly comparable
+	// with the auditor's Summary.Reachable.  A state of master i's native
+	// protocol outside it was proven unreachable (the wrapper did its job).
+	Reachable []coherence.StateSet
 }
 
 // lineState is the abstract joint state of the one modelled cache line:
@@ -243,7 +223,7 @@ type explorer struct {
 	protos    []*coherence.Protocol
 	policies  []core.WrapperPolicy
 	snoopCAM  []bool // master is behind TAG-CAM snoop logic
-	allowed   []map[coherence.State]bool
+	allowed   []coherence.StateSet
 	effective coherence.Kind
 	maxStates int
 
@@ -258,7 +238,7 @@ type explorer struct {
 	frontierPeak int
 	dropped      int
 
-	reachable  []map[coherence.State]bool
+	reachable  []coherence.StateSet
 	seenViol   map[string]bool
 	violations []Violation
 }
@@ -278,10 +258,10 @@ func Explore(cfg Config) (*Result, error) {
 		protos:    make([]*coherence.Protocol, n),
 		policies:  make([]core.WrapperPolicy, n),
 		snoopCAM:  make([]bool, n),
-		allowed:   make([]map[coherence.State]bool, n),
+		allowed:   make([]coherence.StateSet, n),
 		maxStates: cfg.MaxStates,
 		ids:       make(map[uint32]int32),
-		reachable: make([]map[coherence.State]bool, n),
+		reachable: make([]coherence.StateSet, n),
 		seenViol:  make(map[string]bool),
 	}
 	if e.maxStates <= 0 {
@@ -308,11 +288,8 @@ func Explore(cfg Config) (*Result, error) {
 		if cfg.Mode == ModeWrapped {
 			eff = e.effective
 		}
-		e.allowed[i] = make(map[coherence.State]bool)
-		for _, s := range core.AllowedStates(k, eff) {
-			e.allowed[i][s] = true
-		}
-		e.reachable[i] = map[coherence.State]bool{coherence.Invalid: true}
+		e.allowed[i] = core.AllowedStates(k, eff)
+		e.reachable[i].Add(coherence.Invalid)
 	}
 	e.run()
 	return e.result(), nil
@@ -346,7 +323,7 @@ func (e *explorer) run() {
 				e.transitions++
 				nid := e.intern(next, id, a)
 				for i := 0; i < e.n; i++ {
-					e.reachable[i][next.cache[i]] = true
+					e.reachable[i].Add(next.cache[i])
 				}
 				// Invariants are checked on every generated successor —
 				// including revisits and states beyond the bound — so a
@@ -475,34 +452,21 @@ func (e *explorer) render(s lineState) string {
 // SWMR, single dirty owner, and the TAG-CAM mirror property.
 func (e *explorer) checkState(s lineState) []stepViolation {
 	var out []stepViolation
-	writers, dirties, valid := 0, 0, 0
-	writerIdx, dirtyIdx := -1, -1
 	for i := 0; i < e.n; i++ {
 		st := s.cache[i]
-		if !e.allowed[i][st] {
-			out = append(out, stepViolation{CheckIllegalState, i, st})
+		if !e.allowed[i].Has(st) {
+			out = append(out, stepViolation{core.CheckIllegalState, i, st})
 		}
 		if e.snoopCAM[i] && st != coherence.Invalid && !s.cam[i] {
 			out = append(out, stepViolation{CheckCAMMirror, i, st})
 		}
-		if st == coherence.Invalid {
-			continue
-		}
-		valid++
-		if st == coherence.Exclusive || st == coherence.Modified {
-			writers++
-			writerIdx = i
-		}
-		if st.Dirty() {
-			dirties++
-			dirtyIdx = i
-		}
 	}
-	if writers > 1 || (writers == 1 && valid > 1) {
-		out = append(out, stepViolation{CheckSWMR, writerIdx, s.cache[writerIdx]})
+	n := core.CountCopies(s.cache[:e.n])
+	if !n.SWMR() {
+		out = append(out, stepViolation{core.CheckSWMR, n.Writer, s.cache[n.Writer]})
 	}
-	if dirties > 1 {
-		out = append(out, stepViolation{CheckDirtyOwner, dirtyIdx, s.cache[dirtyIdx]})
+	if !n.SingleOwner() {
+		out = append(out, stepViolation{core.CheckDirtyOwner, n.Owner, s.cache[n.Owner]})
 	}
 	return out
 }
@@ -519,7 +483,7 @@ func (e *explorer) step(s lineState, a action) (lineState, string, []stepViolati
 	case actRead:
 		if s.cache[i] != coherence.Invalid {
 			if !s.fresh[i] {
-				viols = append(viols, stepViolation{CheckStaleRead, i, s.cache[i]})
+				viols = append(viols, stepViolation{core.CheckStaleRead, i, s.cache[i]})
 			}
 			return s, fmt.Sprintf("%v hit", a), viols
 		}
@@ -763,7 +727,7 @@ func (e *explorer) dragonWrite(s *lineState, i int, parts *[]string) ([]int, boo
 }
 
 func (e *explorer) result() *Result {
-	r := &Result{
+	return &Result{
 		Protocols:    e.native,
 		Mode:         e.cfg.Mode,
 		Effective:    e.effective,
@@ -773,17 +737,8 @@ func (e *explorer) result() *Result {
 		Dropped:      e.dropped,
 		Complete:     e.dropped == 0,
 		Violations:   e.violations,
+		Reachable:    e.reachable,
 	}
-	r.Reachable = make([][]coherence.State, e.n)
-	for i := range e.reachable {
-		var sts []coherence.State
-		for s := range e.reachable[i] {
-			sts = append(sts, s)
-		}
-		sort.Slice(sts, func(a, b int) bool { return sts[a] < sts[b] })
-		r.Reachable[i] = sts
-	}
-	return r
 }
 
 // graphState is one JSONL record of the state-graph dump.

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"hetcc/internal/coherence"
+	"hetcc/internal/core"
 	"hetcc/internal/snooplogic"
 )
 
@@ -150,12 +151,12 @@ func TestEliminatedStates(t *testing.T) {
 			t.Fatalf("%v: %v", c.kinds, err)
 		}
 		for _, s := range c.eliminated {
-			if !res.Eliminated(c.master, s) {
+			if res.Reachable[c.master].Has(s) {
 				t.Errorf("%v: P%d still reaches %v: %v", c.kinds, c.master, s, res.Reachable[c.master])
 			}
 		}
 		for _, s := range c.kept {
-			if !res.Contains(c.master, s) {
+			if !res.Reachable[c.master].Has(s) {
 				t.Errorf("%v: P%d never reaches %v: %v", c.kinds, c.master, s, res.Reachable[c.master])
 			}
 		}
@@ -175,7 +176,7 @@ func TestUnwiredPositiveControl(t *testing.T) {
 	}{
 		{[]coherence.Kind{coherence.MEI, coherence.MESI}, "", 0},
 		// The paper's Table 2: the MESI copy is read stale.
-		{[]coherence.Kind{coherence.MESI, coherence.MEI}, CheckStaleRead, 0},
+		{[]coherence.Kind{coherence.MESI, coherence.MEI}, core.CheckStaleRead, 0},
 		{[]coherence.Kind{coherence.MEI, coherence.MOESI}, "", 0},
 		{[]coherence.Kind{coherence.MSI, coherence.MESI}, "", 0},  // the paper's Table 3
 		{[]coherence.Kind{coherence.MESI, coherence.MESI}, "", 0}, // E dupes without the shared wire
@@ -258,7 +259,7 @@ func TestNoneMastersStayInMEIStates(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
 		}
-		for _, s := range res.Reachable[0] {
+		for _, s := range res.Reachable[0].States() {
 			if s == coherence.Shared || s == coherence.Owned {
 				t.Errorf("%v: None master reached %v", mode, s)
 			}

@@ -188,9 +188,6 @@ func (m *Manager) Locks() int { return len(m.cfg.Layouts) }
 // Kind returns the configured mechanism.
 func (m *Manager) Kind() Kind { return m.cfg.Kind }
 
-// Alternating reports whether strict alternation is enforced.
-func (m *Manager) Alternating() bool { return m.cfg.Alternate }
-
 func (m *Manager) layout(id int) *Layout {
 	if id < 0 || id >= len(m.cfg.Layouts) {
 		panic(fmt.Sprintf("lock: lock id %d out of range (have %d locks)", id, len(m.cfg.Layouts)))

@@ -460,33 +460,23 @@ func Build(cfg Config) (*Platform, error) {
 // deliberately broken DisableWrappers mode — the cache runs its native
 // protocol unrestricted, so the check reduces to "a state this protocol
 // defines".
-func auditAllowedStates(cfg Config, integ core.Integration) [][]coherence.State {
-	out := make([][]coherence.State, len(cfg.Processors))
+func auditAllowedStates(cfg Config, integ core.Integration) []coherence.StateSet {
+	out := make([]coherence.StateSet, len(cfg.Processors))
 	for i, spec := range cfg.Processors {
 		native := spec.Protocol
 		effective := native
 		if cfg.Solution == Proposed && !cfg.DisableWrappers {
 			effective = integ.Effective
 		}
-		states := core.AllowedStates(native, effective)
+		out[i] = core.AllowedStates(native, effective)
 		if spec.WriteThroughShared {
 			// Write-through lines follow the SI protocol and may hold S
 			// regardless of the wrapper's shared-signal policy ("only
 			// write-through lines can have the S state").
-			states = appendState(states, coherence.Shared)
+			out[i].Add(coherence.Shared)
 		}
-		out[i] = states
 	}
 	return out
-}
-
-func appendState(states []coherence.State, s coherence.State) []coherence.State {
-	for _, have := range states {
-		if have == s {
-			return states
-		}
-	}
-	return append(append([]coherence.State(nil), states...), s)
 }
 
 // EventLogStats reports how many JSONL records were written to

@@ -5,6 +5,7 @@ import (
 
 	"hetcc/internal/audit"
 	"hetcc/internal/coherence"
+	"hetcc/internal/core"
 	"hetcc/internal/event"
 )
 
@@ -25,7 +26,7 @@ func TestStaleReadCheck(t *testing.T) {
 		}
 		k.onLoad(1, line, 3, 13)
 		vs := a.Violations()
-		if len(vs) != 1 || vs[0].Check != audit.CheckStaleRead || vs[0].Cycle != 13 || vs[0].Core != 1 || vs[0].Addr != line {
+		if len(vs) != 1 || vs[0].Check != core.CheckStaleRead || vs[0].Cycle != 13 || vs[0].Core != 1 || vs[0].Addr != line {
 			t.Fatalf("audit violations %v, want one stale-read by core 1 at cycle 13", vs)
 		}
 		if len(k.violations) != 1 || k.violations[0].Got != 3 || k.violations[0].Want != 7 {
@@ -50,7 +51,7 @@ func TestStaleReadCheck(t *testing.T) {
 		k.onStore(0, line, 7, 1)
 		k.onLoad(1, line, 3, 2) // reads a value nobody wrote
 		vs := a.Violations()
-		if len(vs) != 1 || vs[0].Check != audit.CheckStaleRead || a.ViolationCount() != 1 {
+		if len(vs) != 1 || vs[0].Check != core.CheckStaleRead || a.ViolationCount() != 1 {
 			t.Fatalf("flagged %v, want exactly one stale-read", vs)
 		}
 	})
